@@ -8,12 +8,12 @@ all: build vet test race docs fscheck bench-smoke bench-gate crash chaos-e2e cha
 
 # The one gate to run before pushing: static checks plus the race-enabled
 # test suite, the docs-consistency guard and the storage-seam gate. The
-# wire package — the binary framing under every durable journal — is
-# vetted and raced explicitly so a narrowed ./... invocation can never
-# silently skip it.
+# wire and journal packages — the binary framing and the one durable
+# journal under every log — are vetted and raced explicitly so a
+# narrowed ./... invocation can never silently skip them.
 check: vet race docs fscheck
-	$(GO) vet ./internal/wire/
-	$(GO) test -race ./internal/wire/
+	$(GO) vet ./internal/wire/ ./internal/journal/
+	$(GO) test -race ./internal/wire/ ./internal/journal/
 
 # Storage-seam gate: the durable-log packages must not open, rename,
 # rewrite or fsync files through the os package directly — everything
@@ -22,7 +22,7 @@ check: vet race docs fscheck
 # self-test: over the known-bad corpus the gate MUST fail, proving it
 # still detects the bypasses it exists to catch.
 fscheck:
-	$(GO) run ./tools/fscheck ./internal/delivery ./internal/enact ./internal/federation ./internal/crisis ./internal/system ./internal/fsck
+	$(GO) run ./tools/fscheck ./internal/journal ./internal/delivery ./internal/enact ./internal/federation ./internal/crisis ./internal/system ./internal/fsck
 	@echo "fscheck: negative self-test (gate must flag tools/fscheck/testdata)"
 	@if $(GO) run ./tools/fscheck ./tools/fscheck/testdata >/dev/null 2>&1; then \
 		echo "fscheck: negative self-test FAILED: known-bad corpus passed"; exit 1; \
@@ -99,11 +99,11 @@ cover:
 
 # Docs-consistency guards: every registered cmi_* metric must be
 # documented in docs/OPERATIONS.md, every federation mux route in
-# docs/API.md, and every exported identifier of the delivery,
+# docs/API.md, and every exported identifier of the journal, delivery,
 # federation and stream packages must carry a doc comment.
 docs:
 	$(GO) test -run 'TestMetricsDocumented|TestAPIDocumented' .
-	$(GO) run ./tools/doccheck ./internal/delivery ./internal/federation ./internal/stream
+	$(GO) run ./tools/doccheck ./internal/journal ./internal/delivery ./internal/federation ./internal/stream
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -19,9 +19,8 @@
 // With -forward URL and -forward-participant ID, every detected
 // awareness event is also shipped to the federation server at URL for
 // that participant, store-and-forward: notifications are journaled to a
-// durable spool (-spool, default STATE/spool.journal — binary wire
-// frames; a journal written by an earlier version as spool.jsonl keeps
-// its name and upgrades in place) and redelivered across remote outages
+// durable spool (-spool, default STATE/spool.journal) and redelivered
+// across remote outages
 // under a retry/backoff policy with a per-domain circuit breaker
 // (-fed-* flags). Forwarding without -state keeps the spool in the
 // temporary state directory, which is removed on shutdown — undelivered
@@ -49,7 +48,6 @@ import (
 	_ "net/http/pprof" // -pprof endpoints on the default mux
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -94,7 +92,7 @@ func run() error {
 
 		forward     = flag.String("forward", "", "base URL of a remote CMI domain to forward awareness notifications to")
 		forwardPart = flag.String("forward-participant", "", "remote participant to deliver forwarded notifications to (required with -forward)")
-		spool       = flag.String("spool", "", "store-and-forward spool journal (default: STATE/spool.journal, or a pre-existing STATE/spool.jsonl)")
+		spool       = flag.String("spool", "", "store-and-forward spool journal (default: STATE/spool.journal)")
 		fedAttempts = flag.Int("fed-attempts", 0, "max attempts per federation call (default: policy default)")
 		fedTimeout  = flag.Duration("fed-timeout", 0, "per-attempt timeout for federation calls (default: policy default)")
 		fedBreaker  = flag.Int("fed-breaker", 0, "consecutive failures opening the federation circuit breaker (default: policy default)")
@@ -202,14 +200,9 @@ func run() error {
 		remote := federation.NewRemoteClient(*forward, nil).WithResilience(res)
 		spoolPath := *spool
 		if spoolPath == "" {
-			spoolPath = filepath.Join(sys.StateDir(), "spool.journal")
-			// A spool journaled by an earlier version keeps its name (and
-			// upgrades to binary frames in place on the first compaction).
-			legacy := filepath.Join(sys.StateDir(), "spool.jsonl")
-			if _, err := os.Stat(spoolPath); os.IsNotExist(err) {
-				if _, err := os.Stat(legacy); err == nil {
-					spoolPath = legacy
-				}
+			if spoolPath, err = federation.DefaultSpoolPath(sys.StateDir()); err != nil {
+				sys.Close()
+				return err
 			}
 		}
 		fwd, err := federation.NewForwarder(federation.ForwarderConfig{
@@ -223,6 +216,7 @@ func run() error {
 			return err
 		}
 		sys.OnDetection(fwd.Hook(*forwardPart))
+		sys.AttachSpool(fwd.Poisoned)
 		sys.AddCloser(func() error {
 			defer res.Close()
 			return fwd.Close()

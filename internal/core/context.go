@@ -99,9 +99,8 @@ func (r *Registry) Create(schema *ResourceSchema, procs ...event.ProcessRef) (*C
 // CreateAt is Create with a forced id serial: the new context gets id
 // "ctx-<serial>" and the id counter is raised to at least serial. Only
 // enactment replay uses it — re-executed operations recreate their
-// contexts at the recorded serials, which (unlike forcing the shared
-// counter with SetSerial) stays correct when unrelated process families
-// replay concurrently.
+// contexts at the recorded serials, which stays correct when unrelated
+// process families replay concurrently.
 func (r *Registry) CreateAt(serial int, schema *ResourceSchema, procs ...event.ProcessRef) (*Context, error) {
 	if serial <= 0 {
 		return nil, fmt.Errorf("core: CreateAt requires a positive serial")
@@ -496,22 +495,6 @@ func (r *Registry) Import(exp RegistryExport) error {
 	}
 	r.nextID = exp.NextID
 	return nil
-}
-
-// Serial returns the context id counter: ctx-(Serial()+1) is the next
-// id to be assigned. The enactment journal records it before each
-// operation so replay reproduces the exact ids.
-func (r *Registry) Serial() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.nextID
-}
-
-// SetSerial forces the context id counter; only replay uses it.
-func (r *Registry) SetSerial(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nextID = n
 }
 
 func contextInScope(c *Context, scope event.ProcessRef) bool {

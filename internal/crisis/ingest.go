@@ -12,6 +12,7 @@ import (
 	"github.com/mcc-cmi/cmi/internal/delivery"
 	"github.com/mcc-cmi/cmi/internal/event"
 	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/obs"
 	"github.com/mcc-cmi/cmi/internal/vclock"
 )
@@ -72,25 +73,24 @@ func IngestEvents(clock vclock.Clock, instances, eventsPerInstance int) []event.
 	return out
 }
 
-// A JournalSink durably journals every detection it consumes: one line
-// appended and fsynced per event, the way the delivery agent's
-// persistent queues journal notifications. It is safe for concurrent
-// use only in the sense the benchmark needs — one sink per shard, each
-// driven by a single detector agent.
+// A JournalSink durably journals every detection it consumes: one
+// record committed and fsynced per event through a journal.Log, the way
+// the delivery agent's persistent queues journal notifications. It is
+// safe for concurrent use only in the sense the benchmark needs — one
+// sink per shard, each driven by a single detector agent.
 //
-// A failed append or fsync permanently poisons the sink (fsyncgate
-// semantics: the durable suffix is unknown after the first failure, and
-// retrying Sync on the same descriptor can falsely succeed). Poisoned
-// sinks drop further events without counting them; Err surfaces the
-// failure so the run fails loudly instead of under-reporting.
+// A failed write or fsync permanently poisons the sink (the journal's
+// fsyncgate policy). Poisoned sinks drop further events without
+// counting them; Err surfaces the failure so the run fails loudly
+// instead of under-reporting.
 type JournalSink struct {
-	mu  sync.Mutex
-	f   fs.File
-	err error
+	log *journal.Log[struct{}]
+	mu  sync.Mutex // orders staging; guards rec
+	rec []byte
 	n   atomic.Uint64
 }
 
-// NewJournalSink opens (creating or truncating) the journal file.
+// NewJournalSink opens a fresh journal file, replacing any earlier one.
 func NewJournalSink(path string) (*JournalSink, error) {
 	return NewJournalSinkFS(path, nil)
 }
@@ -98,30 +98,25 @@ func NewJournalSink(path string) (*JournalSink, error) {
 // NewJournalSinkFS is NewJournalSink on an explicit filesystem (nil
 // means the real one) — the seam tests inject storage faults through.
 func NewJournalSinkFS(path string, fsys fs.FS) (*JournalSink, error) {
-	f, err := fs.Or(fsys).Create(path)
+	fsys = fs.Or(fsys)
+	fsys.Remove(path) // one journal per run
+	log, _, err := journal.Open(path, journal.Options[struct{}]{FS: fsys, Sync: true}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &JournalSink{f: f}, nil
+	return &JournalSink{log: log}, nil
 }
 
-// Consume implements event.Consumer: append one record and sync. The
-// detection counts as journaled only when both succeed.
+// Consume implements event.Consumer: commit one record, fsynced. The
+// detection counts as journaled only when its commit succeeds.
 func (j *JournalSink) Consume(ev event.Event) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return
+	j.rec = fmt.Appendf(j.rec[:0], "%s %s", ev.InstanceID(), ev.String(event.PSchemaName))
+	t, err := j.log.StageRecord(j.rec)
+	j.mu.Unlock()
+	if err == nil && t.Wait() == nil {
+		j.n.Add(1)
 	}
-	if _, err := fmt.Fprintf(j.f, "%s %s\n", ev.InstanceID(), ev.String(event.PSchemaName)); err != nil {
-		j.err = fmt.Errorf("crisis: journal append: %w", err)
-		return
-	}
-	if err := j.f.Sync(); err != nil {
-		j.err = fmt.Errorf("crisis: journal sync: %w", err)
-		return
-	}
-	j.n.Add(1)
 }
 
 // Count returns how many detections were journaled.
@@ -130,13 +125,14 @@ func (j *JournalSink) Count() uint64 { return j.n.Load() }
 // Err returns the sticky append/fsync failure that poisoned the sink,
 // if any.
 func (j *JournalSink) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
+	if j.log.Poisoned() {
+		return j.log.Err()
+	}
+	return nil
 }
 
 // Close closes the journal file.
-func (j *JournalSink) Close() error { return j.f.Close() }
+func (j *JournalSink) Close() error { return j.log.Close() }
 
 // A StoreSink fans every detection it consumes out to a fixed
 // participant set through a shared delivery.Store — the real persistent

@@ -1,18 +1,14 @@
 package delivery
 
-import (
-	"encoding/json"
-
-	"github.com/mcc-cmi/cmi/internal/wire"
-)
+import "github.com/mcc-cmi/cmi/internal/journal"
 
 // A JournalCheck is the offline verification report for one participant
 // journal, produced by CheckJournal — the delivery half of the
 // `cmictl fsck` state-dir verifier.
 type JournalCheck struct {
-	// Records counts the decodable records (binary frames and legacy
-	// JSON lines) before any damage point.
-	Records int
+	// Report is how the journal ends (journal.Check): records decoded
+	// before any stop point, torn tail, corruption, refused format.
+	journal.Report
 	// Notifs counts the notification records.
 	Notifs int
 	// Acks counts the acknowledgment records.
@@ -22,9 +18,6 @@ type JournalCheck struct {
 	NextID int64
 	// MaxID is the highest notification id seen.
 	MaxID int64
-	// BadRecords counts records that parsed as neither a known binary
-	// record nor a known JSON record, excluding a torn final line.
-	BadRecords int
 	// IDRegressions counts notif records whose id failed to increase —
 	// ids are assigned monotonically, so any regression means damage.
 	IDRegressions int
@@ -32,111 +25,49 @@ type JournalCheck struct {
 	// carries. Compaction keeps every unacknowledged notification, so
 	// these are anomalies worth reporting, though not proof of damage.
 	OrphanAcks int
-	// Torn reports the scan stopped before end of file: at a bad frame
-	// or an unparsable final line.
-	Torn bool
-	// Corrupt reports mid-journal (non-tail) corruption: the tear has
-	// intact frames after it, so this is bit-rot inside committed
-	// history, not a crashed append.
-	Corrupt bool
-	// TornOffset is the byte offset of the record the scan stopped at
-	// (meaningful when Torn is set).
-	TornOffset int64
 }
 
 // Damaged reports whether the journal needs repair: anything beyond the
 // torn tail a crash legitimately leaves behind.
 func (c JournalCheck) Damaged() bool {
-	return c.Corrupt || c.BadRecords > 0 || c.IDRegressions > 0
+	return c.Report.Damaged() || c.IDRegressions > 0
 }
 
-// CheckJournal verifies one participant journal offline: every frame
-// CRC, every record decode, notification-id monotonicity and the ack
+// CheckJournal verifies one participant journal offline: the journal
+// scan, every record decode, notification-id monotonicity and the ack
 // cross-references. It never modifies the data; quarantine decisions
 // belong to the caller (see internal/fsck).
 func CheckJournal(data []byte) JournalCheck {
-	var c JournalCheck
-	c.NextID = 1
-	sc := wire.NewScanner(data)
+	c := JournalCheck{NextID: 1}
 	ids := make(map[int64]bool)
-	var orphan []int64
-	pendingBad := false
-	lastID := int64(0)
-	for {
-		off := sc.Offset()
-		rec, isFrame, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if pendingBad {
-			// The earlier bad record was not the final one: real damage,
-			// not a torn trailing line.
-			c.BadRecords++
-			pendingBad = false
-		}
+	var acked []int64
+	c.Report = journal.Check(data, func(_ int64, payload []byte) error {
 		var r record
-		if isFrame {
-			if decodeRecordBinary(rec, &r) != nil {
-				// A checksum-valid frame that fails to decode was fully
-				// committed — damage, never a torn write.
-				c.BadRecords++
-				c.Corrupt = true
-				if !c.Torn {
-					c.Torn, c.TornOffset = true, off
-				}
-				continue
-			}
-		} else if json.Unmarshal(rec, &r) != nil {
-			pendingBad = true
-			continue
+		if err := decodeRecord(payload, &r); err != nil {
+			return err
 		}
-		c.Records++
 		switch r.Kind {
-		case "notif":
-			if r.Notif == nil {
-				c.BadRecords++
-				continue
-			}
+		case recNotif:
 			c.Notifs++
 			ids[r.Notif.ID] = true
-			if r.Notif.ID <= lastID {
+			if r.Notif.ID <= c.MaxID {
 				c.IDRegressions++
-			}
-			lastID = r.Notif.ID
-			if r.Notif.ID > c.MaxID {
+			} else {
 				c.MaxID = r.Notif.ID
 			}
-			if r.Notif.ID >= c.NextID {
-				c.NextID = r.Notif.ID + 1
-			}
-		case "ack":
+			c.NextID = max(c.NextID, r.Notif.ID+1)
+		case recAck:
 			c.Acks++
-			if !ids[r.AckID] {
-				orphan = append(orphan, r.AckID)
-			}
-		case "key":
-			// bare idempotency key; nothing to cross-check
-		case "next":
-			if r.NextID > c.NextID {
-				c.NextID = r.NextID
-			}
-		default:
-			c.BadRecords++
+			acked = append(acked, r.AckID)
+		case recNext:
+			c.NextID = max(c.NextID, r.NextID)
 		}
-	}
-	if pendingBad {
-		c.Torn = true // unparsable final line: legacy torn tail
-	}
-	for _, id := range orphan {
+		return nil
+	})
+	for _, id := range acked {
 		if !ids[id] {
 			c.OrphanAcks++
 		}
-	}
-	if sc.Torn() {
-		if !c.Torn {
-			c.Torn, c.TornOffset = true, sc.TornOffset()
-		}
-		c.Corrupt = c.Corrupt || sc.CorruptMidJournal()
 	}
 	return c
 }

@@ -9,9 +9,8 @@ import (
 	"github.com/mcc-cmi/cmi/internal/wire"
 )
 
-// Binary journal record codec. New records are written as wire frames
-// (see package wire); the loader still accepts the legacy JSON-lines
-// records, so existing state dirs upgrade in place. Record payloads:
+// Binary journal record codec: one journal record payload per notif,
+// ack, bare key or id high-water mark. Record payloads:
 //
 //	notif:  kind=1, id (8 B LE — fixed width so the fan-out splice can
 //	        patch it in place), key, then the notification body
@@ -195,27 +194,23 @@ func patchNotifID(frame []byte, id int64) {
 	wire.ResealFrame(frame)
 }
 
-// decodeRecordBinary decodes one binary journal-record payload into r.
-func decodeRecordBinary(payload []byte, r *record) error {
+// decodeRecord decodes one journal-record payload into r.
+func decodeRecord(payload []byte, r *record) error {
 	d := wire.NewDec(payload)
-	switch d.Byte() {
+	r.Kind = d.Byte()
+	switch r.Kind {
 	case recNotif:
-		n := &Notification{ID: int64(d.Uint64LE())}
-		r.Kind = "notif"
+		r.Notif.ID = int64(d.Uint64LE())
 		r.Key = d.String()
-		decodeNotifBody(d, n)
-		r.Notif = n
+		decodeNotifBody(d, &r.Notif)
 	case recAck:
-		r.Kind = "ack"
 		r.AckID = d.Varint()
 	case recKey:
-		r.Kind = "key"
 		r.Key = d.String()
 	case recNext:
-		r.Kind = "next"
 		r.NextID = d.Varint()
 	default:
-		return fmt.Errorf("delivery: unknown binary record kind")
+		return fmt.Errorf("delivery: unknown journal record kind %d", r.Kind)
 	}
 	return d.Err()
 }

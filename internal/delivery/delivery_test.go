@@ -11,6 +11,7 @@ import (
 	"github.com/mcc-cmi/cmi/internal/awareness"
 	"github.com/mcc-cmi/cmi/internal/core"
 	"github.com/mcc-cmi/cmi/internal/event"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/vclock"
 )
 
@@ -118,8 +119,8 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestTornWriteTolerated simulates a crash mid-append: the corrupt
-// trailing line is skipped on reload.
+// TestTornWriteTolerated simulates a crash mid-append: the partial
+// trailing record is skipped on reload.
 func TestTornWriteTolerated(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir)
@@ -137,7 +138,8 @@ func TestTornWriteTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"kind":"notif","notif":{"id":2,"sch`); err != nil {
+	torn := journal.AppendRecord(nil, appendRecordNotif(nil, "", &Notification{ID: 2, Schema: "S"}))
+	if _, err := f.Write(torn[:len(torn)-4]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -1,12 +1,14 @@
 package delivery
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/mcc-cmi/cmi/internal/core"
 	"github.com/mcc-cmi/cmi/internal/event"
+	"github.com/mcc-cmi/cmi/internal/journal"
 )
 
 // Failure-injection tests for the persistence layer (experiment E10's
@@ -65,8 +67,9 @@ func TestAgentSurvivesStoreFailure(t *testing.T) {
 	}
 }
 
-// TestJournalWithForeignRecords: unknown record kinds in the journal are
-// ignored on replay (forward compatibility).
+// TestJournalWithForeignRecords: a committed record of a kind this
+// build does not know is never skipped — it stops the load as
+// corruption, the queue serves the prefix before it and refuses writes.
 func TestJournalWithForeignRecords(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir)
@@ -84,7 +87,7 @@ func TestJournalWithForeignRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("{\"kind\":\"future-thing\",\"x\":1}\n\n{\"kind\":\"ack\",\"ackId\":999}\n"); err != nil {
+	if _, err := f.Write(journal.AppendRecord(nil, []byte{0x7f, 1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -96,5 +99,11 @@ func TestJournalWithForeignRecords(t *testing.T) {
 	pending, err := s2.Pending("u")
 	if err != nil || len(pending) != 1 || pending[0].Description != "keep" {
 		t.Fatalf("pending = %v, %v", pending, err)
+	}
+	if s2.CorruptJournals() != 1 {
+		t.Fatalf("CorruptJournals = %d, want 1", s2.CorruptJournals())
+	}
+	if _, err := s2.Enqueue("u", Notification{Schema: "S"}); !errors.Is(err, journal.ErrCorrupt) {
+		t.Fatalf("enqueue after a foreign record = %v, want journal.ErrCorrupt", err)
 	}
 }

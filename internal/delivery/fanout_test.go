@@ -10,8 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/obs"
-	"github.com/mcc-cmi/cmi/internal/wire"
 )
 
 // TestFanoutWireEquivalence: the id-patching fast path of EnqueueFanout
@@ -59,14 +59,9 @@ func TestFanoutWireEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := wire.NewScanner(data)
-		raw, isFrame, ok := sc.Next()
-		if !ok || !isFrame {
-			t.Fatalf("user %s journal is not a binary frame (ok=%v frame=%v)", u, ok, isFrame)
-		}
 		var r record
-		if err := decodeRecordBinary(raw, &r); err != nil {
-			t.Fatalf("user %s record: %v", u, err)
+		if rep := journal.Check(data, func(_ int64, p []byte) error { return decodeRecord(p, &r) }); rep.State != journal.Clean || rep.Records != 1 {
+			t.Fatalf("user %s journal: %d records, %v", u, rep.Records, rep.State)
 		}
 		return r
 	}
@@ -281,26 +276,22 @@ func TestCompactionOnLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]int{}
-	sc := wire.NewScanner(data)
-	for {
-		raw, isFrame, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if !isFrame {
-			t.Fatalf("compacted journal carries a non-binary record: %q", raw)
-		}
+	kinds := map[byte]int{}
+	rep := journal.Check(data, func(_ int64, p []byte) error {
 		var r record
-		if err := decodeRecordBinary(raw, &r); err != nil {
-			t.Fatal(err)
+		if err := decodeRecord(p, &r); err != nil {
+			return err
 		}
 		kinds[r.Kind]++
+		return nil
+	})
+	if rep.State != journal.Clean {
+		t.Fatalf("compacted journal ends %v at offset %d", rep.State, rep.Offset)
 	}
-	if kinds["ack"] != 0 {
+	if kinds[recAck] != 0 {
 		t.Fatal("compacted journal still carries ack records")
 	}
-	if kinds["next"] == 0 {
+	if kinds[recNext] == 0 {
 		t.Fatal("compacted journal carries no id high-water record")
 	}
 	// Ids are never reused: the next enqueue continues past the dropped

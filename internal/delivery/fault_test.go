@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
 )
 
 // TestFsyncFailurePoisonsQueue pins the fsyncgate policy: the first
@@ -176,12 +177,54 @@ func TestCheckJournalDetectsDamage(t *testing.T) {
 	}
 	corrupted, _ = os.ReadFile(tmp)
 	c = CheckJournal(corrupted)
-	if !c.Damaged() || !c.Corrupt || c.Notifs != 2 {
+	if !c.Damaged() || c.State != journal.Corrupt || c.Notifs != 2 {
 		t.Fatalf("corrupt journal misreported: %+v", c)
 	}
 	// Torn tail: reported torn, not damaged.
 	c = CheckJournal(clean[:len(clean)-3])
-	if c.Damaged() || !c.Torn {
+	if c.Damaged() || c.State != journal.Torn {
 		t.Fatalf("torn tail misreported: %+v", c)
+	}
+}
+
+// TestUndecodableFrameMarksQueueCorrupt is the regression test for the
+// loader that skipped a checksum-valid record it could not decode and
+// kept going: the record was fully committed, so it is corruption. The
+// queue serves only the prefix before it, counts as corrupt, refuses
+// writes, agrees with the offline check, and keeps the file as is.
+func TestUndecodableFrameMarksQueueCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	var data []byte
+	data = journal.AppendRecord(data, appendRecordNotif(nil, "", &Notification{ID: 1, Schema: "S", Description: "one"}))
+	data = journal.AppendRecord(data, []byte{recNotif, 1, 2}) // CRC-valid, truncated payload
+	data = journal.AppendRecord(data, appendRecordNotif(nil, "", &Notification{ID: 2, Schema: "S", Description: "two"}))
+	path := filepath.Join(dir, "alice.jsonl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pending, err := s.Pending("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 1 || pending[0].ID != 1 {
+		t.Fatalf("pending = %+v, want only the record before the bad one", pending)
+	}
+	if got := s.CorruptJournals(); got != 1 {
+		t.Fatalf("CorruptJournals = %d, want 1", got)
+	}
+	if _, err := s.Enqueue("alice", Notification{Schema: "S"}); !errors.Is(err, journal.ErrCorrupt) {
+		t.Fatalf("enqueue = %v, want journal.ErrCorrupt", err)
+	}
+	if c := CheckJournal(data); c.State != journal.Corrupt || c.Records != 1 {
+		t.Fatalf("CheckJournal = %+v, want corrupt after 1 record", c)
+	}
+	after, _ := os.ReadFile(path)
+	if string(after) != string(data) {
+		t.Fatal("corrupt journal was rewritten on load")
 	}
 }

@@ -1,85 +1,56 @@
 package delivery
 
 import (
-	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
+
+	"github.com/mcc-cmi/cmi/internal/journal"
 )
 
-// TestLegacyJSONJournalUpgradesInPlace: a state dir written entirely by
-// an earlier JSON-lines version loads transparently, new appends land as
-// binary frames in the same file, and the resulting mixed journal
-// replays to the combined state.
-func TestLegacyJSONJournalUpgradesInPlace(t *testing.T) {
-	dir := t.TempDir()
-	when := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	legacy := []record{
-		{Kind: "notif", Key: "remote-1", Notif: &Notification{
-			ID: 1, Time: when, Schema: "SevereCase", Description: "first",
-			Params: map[string]any{"count": float64(3)}, // JSON numbers were floats
-		}},
-		{Kind: "notif", Notif: &Notification{ID: 2, Time: when, Schema: "SevereCase", Description: "second"}},
-		{Kind: "ack", AckID: 1},
-		{Kind: "next", NextID: 7},
+// TestQueueRefusesLegacyJournal: a participant journal written by a
+// pre-binary CMI (JSON lines, alone or behind binary frames) is refused
+// at open with journal.ErrLegacy, flagged Damaged by the offline check,
+// and never rewritten — not misread, and not dropped as a torn tail.
+func TestQueueRefusesLegacyJournal(t *testing.T) {
+	jsonLines := []byte(`{"kind":"notif","notif":{"id":1,"time":"2026-08-01T12:00:00Z","schema":"SevereCase","description":"first"}}` + "\n" +
+		`{"kind":"ack","ackId":1}` + "\n")
+	frames := journal.AppendRecord(nil, appendRecordNotif(nil, "", &Notification{ID: 1, Schema: "S"}))
+	cases := map[string][]byte{
+		"json-lines":        jsonLines,
+		"frames-then-json":  append(append([]byte(nil), frames...), jsonLines...),
+		"torn-json-line":    jsonLines[:20],
+		"json-then-a-frame": append(append([]byte(nil), jsonLines...), frames...),
 	}
-	var buf []byte
-	for _, r := range legacy {
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, append(b, '\n')...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "u.jsonl"), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pending, err := s.Pending("u")
-	if err != nil || len(pending) != 1 || pending[0].Description != "second" {
-		t.Fatalf("pending after legacy load = %v, %v", pending, err)
-	}
-	// The idempotency key journaled by the old version still dedups.
-	n, dup, err := s.EnqueueKeyed("u", "remote-1", Notification{Schema: "SevereCase", Description: "replay"})
-	if err != nil || !dup {
-		t.Fatalf("keyed replay = %+v, dup=%v, err=%v", n, dup, err)
-	}
-	// New enqueues continue from the journaled high-water mark and are
-	// appended to the same file as binary frames.
-	added, err := s.Enqueue("u", Notification{Time: when, Schema: "SevereCase", Description: "third",
-		Params: map[string]any{"count": int64(9)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added.ID != 7 {
-		t.Fatalf("post-upgrade id = %d, want 7 (journaled next)", added.ID)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	pending, err = s2.Pending("u")
-	if err != nil || len(pending) != 2 {
-		t.Fatalf("pending after mixed reload = %v, %v", pending, err)
-	}
-	if pending[0].Description != "second" || pending[1].Description != "third" {
-		t.Fatalf("pending order = %q, %q", pending[0].Description, pending[1].Description)
-	}
-	if got := pending[1].Params["count"]; got != int64(9) {
-		t.Fatalf("binary-journaled param = %v (%T), want int64(9)", got, got)
-	}
-	hist, err := s2.History("u")
-	if err != nil || len(hist) != 3 {
-		t.Fatalf("history after mixed reload = %v, %v", hist, err)
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "u.jsonl")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Preload(); !errors.Is(err, journal.ErrLegacy) {
+				t.Fatalf("Preload = %v, want journal.ErrLegacy", err)
+			}
+			if _, err := s.Enqueue("u", Notification{Schema: "S"}); !errors.Is(err, journal.ErrLegacy) {
+				t.Fatalf("Enqueue = %v, want journal.ErrLegacy", err)
+			}
+			if c := CheckJournal(data); !c.Damaged() || c.State != journal.Legacy {
+				t.Fatalf("CheckJournal = %+v, want Damaged and Legacy", c)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != string(data) {
+				t.Fatal("a refused journal was rewritten")
+			}
+		})
 	}
 }

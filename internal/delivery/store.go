@@ -8,20 +8,19 @@
 //
 // Queues are persistent: a participant is not assumed to be logged on
 // when an awareness event is detected, so each participant's queue is
-// journaled to an append-only JSON-lines file and rebuilt on restart.
+// journaled to its own append-only journal (package journal; the file
+// keeps its historical .jsonl name) and rebuilt on restart.
 //
 // The journal is written with group commit: each queue has its own lock,
-// and concurrent appends to the same queue coalesce into a single
-// buffered write + flush (+ fsync when the store is opened with
-// StoreOptions.Sync). N writers racing on one queue therefore pay ~one
-// commit per group rather than one each — the same amortization
-// transactional logs use — which is what lets sharded awareness
-// detection scale on the durable local-delivery path.
+// and concurrent appends to the same queue coalesce into a single write
+// (+ fsync when the store is opened with StoreOptions.Sync). N writers
+// racing on one queue therefore pay ~one commit per group rather than
+// one each — the same amortization transactional logs use — which is
+// what lets sharded awareness detection scale on the durable
+// local-delivery path.
 package delivery
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net/url"
 	"os"
@@ -34,6 +33,7 @@ import (
 
 	"github.com/mcc-cmi/cmi/internal/core"
 	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/obs"
 	"github.com/mcc-cmi/cmi/internal/wire"
 )
@@ -60,32 +60,22 @@ type Notification struct {
 	Acked bool `json:"acked,omitempty"`
 }
 
-// journal record kinds.
+// A record is one decoded journal record: Kind is one of the record
+// codes (recNotif, recAck, recKey, recNext, see codec.go).
 type record struct {
-	Kind  string        `json:"kind"` // "notif", "ack", "key" or "next"
-	Notif *Notification `json:"notif,omitempty"`
-	AckID int64         `json:"ackId,omitempty"`
+	Kind  byte
+	Notif Notification
+	AckID int64
 	// Key is the idempotency key of a remotely pushed notification
 	// (EnqueueKeyed / EnqueueFanout); replayed on load so redelivery
 	// after a crash on either side cannot duplicate a notification.
-	// "key" records carry a bare key preserved by compaction after its
+	// recKey records carry a bare key preserved by compaction after its
 	// notification was acknowledged and dropped.
-	Key string `json:"key,omitempty"`
-	// NextID ("next" records) preserves the id high-water mark across
+	Key string
+	// NextID (recNext records) preserves the id high-water mark across
 	// compaction, which drops the acked records that would otherwise
 	// carry it; ids must never be reused even for acknowledged history.
-	NextID int64 `json:"nextId,omitempty"`
-}
-
-// A commitGroup is one group-commit batch: encoded records from every
-// writer that arrived while the previous commit held the file, written
-// with a single buffered write + flush.
-type commitGroup struct {
-	buf       []byte         // newline-terminated encoded records, in id order
-	n         int            // records in buf
-	notifs    []Notification // notifications the group carries, in id order
-	err       error          // commit outcome; valid once committed is set
-	committed bool           // set under q.mu; q.cond broadcasts the transition
+	NextID int64
 }
 
 // A CommitHook observes committed notifications: it is invoked once per
@@ -97,24 +87,16 @@ type commitGroup struct {
 // the next group is still free to form, but it delays the group's
 // writers from returning — it must never block (the streaming hub's
 // Broadcast, the intended consumer, drops to cursor replay instead of
-// blocking).
+// blocking). ns is only valid during the call.
 type CommitHook func(participant string, ns []Notification)
 
 type queue struct {
-	path        string
 	participant string
-	fsys        fs.FS
-	// hook points at the owning store's commit hook; the commit leader
-	// loads it at broadcast time, so a group led by an ack writer still
-	// broadcasts the notifications other writers joined to it.
-	hook *atomic.Pointer[CommitHook]
-	// poisonTally points at the owning store's poisoned-queue counter.
-	poisonTally *atomic.Int64
+	// log is the queue's journal; its Committed callback reports every
+	// commit group to the store's metrics and commit hook.
+	log *journal.Log[Notification]
 
 	mu      sync.Mutex
-	cond    *sync.Cond // signals commit-leader turnover (writing -> false)
-	file    fs.File
-	w       *bufio.Writer
 	notifs  []Notification  // in id order
 	byID    map[int64]int   // id -> index in notifs
 	keys    map[string]bool // idempotency keys already enqueued
@@ -122,22 +104,6 @@ type queue struct {
 	watches []chan Notification
 	pending int  // unacked notifications, maintained incrementally
 	closed  bool // the store has been closed
-	// poisoned is the sticky error set by the first failed commit
-	// write/flush/fsync. Per fsyncgate semantics a failed fsync leaves
-	// the durable suffix of the journal unknown and a retry on the same
-	// descriptor can falsely succeed, so once set the queue refuses all
-	// further appends with this error. Reads keep serving the in-memory
-	// state; /api/healthz turns unhealthy.
-	poisoned error
-	// corrupt records that load found mid-journal (non-tail) corruption:
-	// replay stopped at the first bad frame even though intact frames
-	// followed. The queue serves the decoded prefix but the damage is
-	// surfaced (never silently compacted away) until fsck repairs it.
-	corrupt bool
-
-	open    *commitGroup // group accepting records; nil when none is forming
-	writing bool         // a commit leader holds the file outside mu
-	spare   []byte       // recycled group buffer
 }
 
 // A Store owns the persistent per-participant queues of one CMI system.
@@ -159,8 +125,8 @@ type Store struct {
 	// (see CommitHook). Atomic so the commit path reads it without a
 	// store-wide lock.
 	commitHook atomic.Pointer[CommitHook]
-	// poisoned counts queues whose journal a failed commit poisoned;
-	// corruptLoads counts journals whose load stopped at mid-journal
+	// poisoned counts queues whose journal a failed write poisoned;
+	// corruptLoads counts journals whose load found mid-journal
 	// corruption. Both feed gauges and the system health report.
 	poisoned     atomic.Int64
 	corruptLoads atomic.Int64
@@ -208,7 +174,7 @@ func (s *Store) Instrument(reg *obs.Registry, labels ...obs.Label) {
 		acked: reg.Counter("cmi_delivery_acked_total",
 			"Notifications acknowledged by participants.", labels...),
 		appendLatency: reg.Histogram("cmi_delivery_journal_append_seconds",
-			"Latency of one durable journal commit group (write, flush, fsync when enabled).",
+			"Latency of one durable journal commit group (write, fsync when enabled).",
 			nil, labels...),
 		commits: reg.Counter("cmi_delivery_commits_total",
 			"Journal commit groups written (each covers one or more records).", labels...),
@@ -232,8 +198,8 @@ func (s *Store) Instrument(reg *obs.Registry, labels ...obs.Label) {
 func (s *Store) PoisonedQueues() int { return int(s.poisoned.Load()) }
 
 // CorruptJournals reports how many participant journals were found
-// mid-journal corrupt at load: replay stopped at the first bad frame
-// with intact frames after it. The decoded prefix is served, but the
+// mid-journal corrupt at load: replay stopped at the first bad record
+// with committed history after it. The decoded prefix is served, but the
 // condition is surfaced (health goes unhealthy) until `cmictl fsck`
 // repairs the file.
 func (s *Store) CorruptJournals() int { return int(s.corruptLoads.Load()) }
@@ -294,13 +260,23 @@ func (s *Store) hook() CommitHook {
 	return nil
 }
 
-// notifBatch wraps one accepted notification for its commit group's
-// broadcast — nil (no allocation) when no commit hook is registered.
-func notifBatch(s *Store, n Notification) []Notification {
-	if s.commitHook.Load() == nil {
-		return nil
+// committed is a queue journal's Committed callback: it observes the
+// commit group in the store's metrics and broadcasts its notifications
+// through the commit hook, loaded at commit time, so a group led by an
+// ack writer still broadcasts the notifications other writers joined.
+func (s *Store) committed(participant string) func(int, time.Duration, []Notification) {
+	return func(records int, took time.Duration, ns []Notification) {
+		if m := s.metrics.Load(); m != nil {
+			m.appendLatency.Observe(took)
+			m.commits.Inc()
+			m.batchSize.Observe(float64(records))
+		}
+		if len(ns) > 0 {
+			if h := s.hook(); h != nil {
+				h(participant, ns)
+			}
+		}
 	}
-	return []Notification{n}
 }
 
 // queueFor resolves (loading or creating on first use) the participant's
@@ -319,11 +295,10 @@ func (s *Store) queueLocked(participant string) (*queue, error) {
 	if q, ok := s.queues[participant]; ok {
 		return q, nil
 	}
-	q, err := s.newQueue(participant, filepath.Join(s.dir, url.PathEscape(participant)+".jsonl"))
+	q, err := s.newQueue(participant)
 	if err != nil {
 		return nil, err
 	}
-	q.hook = &s.commitHook
 	s.queues[participant] = q
 	s.pendingTotal.Add(int64(q.pending))
 	return q, nil
@@ -331,23 +306,32 @@ func (s *Store) queueLocked(participant string) (*queue, error) {
 
 // newQueue loads (or creates) one participant queue from its journal
 // file — the shared construction path of queueLocked and Preload.
-func (s *Store) newQueue(participant, path string) (*queue, error) {
-	q := &queue{path: path, participant: participant, fsys: s.fsys,
-		poisonTally: &s.poisoned, byID: make(map[int64]int), keys: make(map[string]bool), nextID: 1}
-	q.cond = sync.NewCond(&q.mu)
-	if err := q.load(); err != nil {
-		return nil, err
-	}
-	if q.corrupt {
-		s.corruptLoads.Add(1)
-	}
-	q.maybeCompact()
-	f, err := q.fsys.OpenAppend(path)
+func (s *Store) newQueue(participant string) (*queue, error) {
+	q := &queue{participant: participant, byID: make(map[int64]int), keys: make(map[string]bool), nextID: 1}
+	log, rep, err := journal.Open(filepath.Join(s.dir, url.PathEscape(participant)+".jsonl"),
+		journal.Options[Notification]{
+			FS:        s.fsys,
+			Sync:      s.syncOnCommit,
+			Committed: s.committed(participant),
+			OnPoison:  func(error) { s.poisoned.Add(1) },
+		}, q.replay)
 	if err != nil {
 		return nil, fmt.Errorf("delivery: %w", err)
 	}
-	q.file = f
-	q.w = bufio.NewWriter(f)
+	q.log = log
+	for i := range q.notifs {
+		if !q.notifs[i].Acked {
+			q.pending++
+		}
+	}
+	if rep.State == journal.Corrupt {
+		// The journal opened poisoned: the queue serves the decoded
+		// prefix read-only and is never compacted, which would destroy
+		// the evidence fsck needs.
+		s.corruptLoads.Add(1)
+	} else {
+		q.maybeCompact()
+	}
 	return q, nil
 }
 
@@ -381,7 +365,7 @@ func (s *Store) Preload() error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			q, err := s.newQueue(p, filepath.Join(s.dir, url.PathEscape(p)+".jsonl"))
+			q, err := s.newQueue(p)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -393,10 +377,9 @@ func (s *Store) Preload() error {
 			s.mu.Lock()
 			if s.closed || s.queues[p] != nil {
 				s.mu.Unlock()
-				q.file.Close()
+				q.log.Close()
 				return
 			}
-			q.hook = &s.commitHook
 			s.queues[p] = q
 			s.mu.Unlock()
 			s.pendingTotal.Add(int64(q.pending))
@@ -406,69 +389,35 @@ func (s *Store) Preload() error {
 	return firstErr
 }
 
-// load replays the journal: notifications in order, acks applied.
-// Records are binary wire frames, legacy JSON lines, or a mix from an
-// in-place upgrade — the scanner auto-detects per record. A torn TAIL
-// (a partial frame from a crash mid-append) is tolerated and ignored;
-// mid-journal corruption — a bad frame with intact frames after it —
-// stops replay at the first bad record and marks the queue corrupt, so
-// the damage is reported loudly instead of silently truncating history.
-func (q *queue) load() error {
-	data, err := q.fsys.ReadFile(q.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("delivery: %w", err)
+// replay applies one journal record to the loading queue:
+// notifications in order, acks, bare keys and id high-water marks. A
+// record that fails to decode stops the load (journal.Check's rule).
+func (q *queue) replay(payload []byte) error {
+	var r record
+	if err := decodeRecord(payload, &r); err != nil {
+		return err
 	}
-	sc := wire.NewScanner(data)
-	for {
-		rec, isFrame, ok := sc.Next()
-		if !ok {
-			break
+	switch r.Kind {
+	case recNotif:
+		q.byID[r.Notif.ID] = len(q.notifs)
+		q.notifs = append(q.notifs, r.Notif)
+		if r.Key != "" {
+			q.keys[r.Key] = true
 		}
-		var r record
-		if isFrame {
-			if decodeRecordBinary(rec, &r) != nil {
-				continue // unknown kind from a newer writer; skip
-			}
-		} else if err := json.Unmarshal(rec, &r); err != nil {
-			continue // torn write at crash; skip
+		if r.Notif.ID >= q.nextID {
+			q.nextID = r.Notif.ID + 1
 		}
-		switch r.Kind {
-		case "notif":
-			if r.Notif == nil {
-				continue
-			}
-			q.byID[r.Notif.ID] = len(q.notifs)
-			q.notifs = append(q.notifs, *r.Notif)
-			if r.Key != "" {
-				q.keys[r.Key] = true
-			}
-			if r.Notif.ID >= q.nextID {
-				q.nextID = r.Notif.ID + 1
-			}
-		case "ack":
-			if i, ok := q.byID[r.AckID]; ok {
-				q.notifs[i].Acked = true
-			}
-		case "key":
-			if r.Key != "" {
-				q.keys[r.Key] = true
-			}
-		case "next":
-			if r.NextID > q.nextID {
-				q.nextID = r.NextID
-			}
+	case recAck:
+		if i, ok := q.byID[r.AckID]; ok {
+			q.notifs[i].Acked = true
+		}
+	case recKey:
+		q.keys[r.Key] = true
+	case recNext:
+		if r.NextID > q.nextID {
+			q.nextID = r.NextID
 		}
 	}
-	q.pending = 0
-	for i := range q.notifs {
-		if !q.notifs[i].Acked {
-			q.pending++
-		}
-	}
-	q.corrupt = sc.Torn() && sc.CorruptMidJournal()
 	return nil
 }
 
@@ -481,16 +430,11 @@ const compactMinAcked = 4
 // (kept standalone so redelivered pushes of acked notifications still
 // dedup), and the live notifications. Long-lived participants therefore
 // stop paying replay cost for information they acknowledged long ago.
-// The rewrite is atomic (tmp + fsync + rename + parent-dir fsync via
-// fs.ReplaceFile), so a crash at any point leaves either the old or the
-// new journal, never a mix; it is best-effort — on any error the
-// original journal is kept untouched. A journal load marked corrupt is
-// never compacted: the rewrite would destroy the damaged region fsck
-// needs to diagnose and quarantine.
+// The rewrite is atomic (journal.Log.Rewrite), so a crash at any point
+// leaves either the old or the new journal, never a mix; it is
+// best-effort — on any error the original journal is kept. It runs at
+// load, before the queue is shared; a corrupt journal never reaches it.
 func (q *queue) maybeCompact() {
-	if q.corrupt {
-		return
-	}
 	acked := len(q.notifs) - q.pending
 	if acked <= q.pending || acked < compactMinAcked {
 		return
@@ -498,8 +442,7 @@ func (q *queue) maybeCompact() {
 	var buf, payload []byte
 	writeRec := func(pay []byte) {
 		payload = pay
-		buf = wire.AppendFrame(buf, pay)
-		buf = append(buf, '\n')
+		buf = journal.AppendRecord(buf, pay)
 	}
 	writeRec(appendRecordNext(payload[:0], q.nextID))
 	keys := make([]string, 0, len(q.keys))
@@ -516,7 +459,7 @@ func (q *queue) maybeCompact() {
 		}
 		writeRec(appendRecordNotif(payload[:0], "", &q.notifs[i]))
 	}
-	if fs.ReplaceFile(q.fsys, q.path, buf, true) != nil {
+	if q.log.Rewrite(buf) != nil {
 		return
 	}
 	// The in-memory queue mirrors the compacted journal: acked
@@ -534,126 +477,16 @@ func (q *queue) maybeCompact() {
 	q.byID = byID
 }
 
-// appendCommit adds n encoded, newline-terminated records to the
-// queue's open commit group and returns once the group containing them
-// is durably written. The classic group-commit protocol: the first
-// writer to find no open group becomes its leader; while the leader
-// waits for the previous commit to release the file, later writers join
-// the open group; the leader then seals the group and writes the whole
-// batch with one write + flush (+ fsync when enabled). A batch enqueue
-// passes all its records for the queue in one call, so a batch costs
-// one commit-group join however many records it carries. The
-// notifications the records carry (nil for acks) ride the group and are
-// reported to the store's commit hook — once per group, by the leader,
-// after the write — which is what makes "one commit group = one
-// broadcast" hold for streaming sessions. Called with q.mu held; the
-// lock is released while waiting/writing and re-held on return; recs
-// and notifs are copied before return, so the caller may reuse them.
-func (q *queue) appendCommit(recs []byte, n int, notifs []Notification, m *storeMetrics, syncFile bool) error {
-	if err := q.usable(); err != nil {
-		return err
-	}
-	if g := q.open; g != nil {
-		// A group is forming: join it and wait for its commit.
-		g.buf = append(g.buf, recs...)
-		g.n += n
-		g.notifs = append(g.notifs, notifs...)
-		for !g.committed {
-			q.cond.Wait()
-		}
-		return g.err
-	}
-	// Open a new group and lead its commit.
-	g := &commitGroup{buf: append(q.spare[:0], recs...)}
-	q.spare = nil
-	g.n = n
-	g.notifs = append(g.notifs, notifs...)
-	q.open = g
-	for q.writing {
-		q.cond.Wait() // joiners accumulate in q.open meanwhile
-	}
-	if syncFile && !q.closed {
-		// Linger one scheduler yield before sealing. The joiners of the
-		// commit that just cleared the file were blocked for its whole
-		// fsync; without this they always miss the next group, which
-		// then carries a single record — groups would alternate between
-		// 1 and N-1 records instead of holding ~N. The yield lets every
-		// runnable writer reach the queue and join. Only worth a yield
-		// when commits carry an fsync; q.open stays set, so no other
-		// leader can arise meanwhile.
-		q.mu.Unlock()
-		runtime.Gosched()
-		q.mu.Lock()
-	}
-	q.open = nil // seal: later writers start the next group
-	if q.closed {
-		// The store closed while this group waited its turn.
-		g.err = errClosed()
-		g.committed = true
-		q.cond.Broadcast()
-		return g.err
-	}
-	q.writing = true
-	q.mu.Unlock()
-	t0 := time.Now()
-	_, err := q.w.Write(g.buf)
-	if err == nil {
-		err = q.w.Flush()
-	}
-	if err == nil && syncFile {
-		err = q.file.Sync()
-	}
-	if err != nil {
-		err = fmt.Errorf("delivery: %w", err)
-	}
-	if m != nil {
-		m.appendLatency.Observe(time.Since(t0))
-		m.commits.Inc()
-		m.batchSize.Observe(float64(g.n))
-	}
-	// Broadcast the group's notifications while q.writing still serializes
-	// this queue's commits: hook calls are therefore in id order per
-	// participant, and the next group keeps forming meanwhile. The group's
-	// writers only return after the hook, so a quiesce barrier that waits
-	// for enqueues also covers the broadcast.
-	if q.hook != nil && len(g.notifs) > 0 {
-		if p := q.hook.Load(); p != nil {
-			(*p)(q.participant, g.notifs)
-		}
-	}
-	q.mu.Lock()
-	q.writing = false
-	q.spare = g.buf[:0]
-	if err != nil && q.poisoned == nil && !q.closed {
-		// fsyncgate: after a failed write or fsync the kernel may have
-		// dropped the dirty pages, so the durable suffix of the journal
-		// is unknown and a retried fsync on this descriptor could
-		// falsely report success. Poison the queue permanently: every
-		// joiner of this group gets the error now (g.err below), and
-		// every later append fails fast instead of retrying the fd.
-		q.poisoned = fmt.Errorf("delivery: journal for %q poisoned: %w", q.participant, err)
-		if q.poisonTally != nil {
-			q.poisonTally.Add(1)
-		}
-	}
-	g.err = err
-	g.committed = true
-	q.cond.Broadcast()
-	return err
-}
-
-// usable reports why the queue refuses writes: closed store, poisoned
-// journal, or mid-journal corruption (appending past a damaged region
-// would reuse ids from the lost suffix). Called with q.mu held.
+// usable reports why the queue refuses writes: closed store, or a
+// poisoned journal — a failed commit, or mid-journal corruption found
+// at load (appending past a damaged region would reuse ids from the
+// lost suffix). Called with q.mu held.
 func (q *queue) usable() error {
 	if q.closed {
 		return errClosed()
 	}
-	if q.poisoned != nil {
-		return q.poisoned
-	}
-	if q.corrupt {
-		return fmt.Errorf("delivery: journal for %q is corrupt mid-file; run cmictl fsck", q.participant)
+	if q.log.Poisoned() {
+		return q.log.Err()
 	}
 	return nil
 }
@@ -704,27 +537,32 @@ func (s *Store) EnqueueKeyed(participant, key string, n Notification) (Notificat
 	}
 	m := s.metrics.Load()
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if err := q.usable(); err != nil {
+		q.mu.Unlock()
 		return Notification{}, false, err
 	}
 	if key != "" && q.keys[key] {
+		q.mu.Unlock()
 		return Notification{}, true, nil
 	}
 	n.ID = q.nextID
 	n.Acked = false
 	rec := encodeNotifFrame(key, &n, m)
 	s.accept(q, n, key, m)
-	err = q.appendCommit(rec, 1, notifBatch(s, n), m, s.syncOnCommit)
+	t, err := q.log.Stage(rec, 1, n)
+	q.mu.Unlock()
 	wire.PutBuf(rec)
+	if err == nil {
+		err = t.Wait()
+	}
 	if err != nil {
 		return Notification{}, false, err
 	}
 	return n, false, nil
 }
 
-// encodeNotifFrame encodes one notif record as a newline-terminated
-// wire frame in a pooled buffer (release with wire.PutBuf), observing
+// encodeNotifFrame encodes one notif record as a journal record (frame
+// and separator) in a pooled buffer (release with wire.PutBuf), observing
 // encode latency when instrumented.
 func encodeNotifFrame(key string, n *Notification, m *storeMetrics) []byte {
 	var t0 time.Time
@@ -733,9 +571,7 @@ func encodeNotifFrame(key string, n *Notification, m *storeMetrics) []byte {
 	}
 	payload := wire.GetBuf(notifRecordSize(key, n))
 	payload = appendRecordNotif(payload, key, n)
-	rec := wire.GetBuf(len(payload) + 16)
-	rec = wire.AppendFrame(rec, payload)
-	rec = append(rec, '\n')
+	rec := journal.AppendRecord(wire.GetBuf(len(payload)+16), payload)
 	wire.PutBuf(payload)
 	if m != nil {
 		m.encode.Observe(time.Since(t0))
@@ -797,8 +633,11 @@ func (s *Store) EnqueueFanout(users []string, key string, n Notification) ([]Not
 		nn.ID = q.nextID
 		patchNotifID(rec, nn.ID)
 		s.accept(q, nn, key, m)
-		err = q.appendCommit(rec, 1, notifBatch(s, nn), m, s.syncOnCommit)
+		t, err := q.log.Stage(rec, 1, nn)
 		q.mu.Unlock()
+		if err == nil {
+			err = t.Wait()
+		}
 		if err != nil {
 			fail(err)
 			continue
@@ -824,7 +663,7 @@ type FanoutItem struct {
 //
 // It returns the number of queues each item landed on (aligned with
 // items; duplicates and failed queues excluded), the total duplicate
-// count, and the first error. As with appendCommit, records accepted
+// count, and the first error. As with every enqueue, records accepted
 // in memory before a failing commit stay accepted — the journal decides
 // on restart.
 func (s *Store) EnqueueFanoutBatch(items []FanoutItem) ([]int, int, error) {
@@ -859,8 +698,7 @@ func (s *Store) EnqueueFanoutBatch(items []FanoutItem) ([]int, int, error) {
 		dups     int
 		firstErr error
 		group    = wire.GetBuf(1 << 10)
-		hook     = s.hook()
-		batchNs  []Notification // reused per queue; appendCommit copies
+		batchNs  []Notification // reused per queue; Stage copies
 	)
 	defer wire.PutBuf(group)
 	fail := func(err error) {
@@ -895,15 +733,18 @@ func (s *Store) EnqueueFanoutBatch(items []FanoutItem) ([]int, int, error) {
 			group = append(group, frames[i]...)
 			cnt++
 			s.accept(q, nn, it.Key, m)
-			if hook != nil {
-				batchNs = append(batchNs, nn)
-			}
+			batchNs = append(batchNs, nn)
 			queued[i]++
 		}
-		if cnt > 0 {
-			err = q.appendCommit(group, cnt, batchNs, m, s.syncOnCommit)
+		if cnt == 0 {
+			q.mu.Unlock()
+			continue
 		}
+		t, err := q.log.Stage(group, cnt, batchNs...)
 		q.mu.Unlock()
+		if err == nil {
+			err = t.Wait()
+		}
 		if err != nil {
 			fail(err)
 		}
@@ -1052,32 +893,33 @@ func (s *Store) Ack(participant string, id int64) error {
 	}
 	m := s.metrics.Load()
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if err := q.usable(); err != nil {
+		q.mu.Unlock()
 		return err
 	}
 	i, ok := q.byID[id]
 	if !ok {
+		q.mu.Unlock()
 		return fmt.Errorf("delivery: participant %q has no notification %d: %w", participant, id, core.ErrNotFound)
 	}
 	if q.notifs[i].Acked {
+		q.mu.Unlock()
 		return nil
 	}
-	payload := wire.GetBuf(16)
-	payload = appendRecordAck(payload, id)
-	rec := wire.GetBuf(len(payload) + 16)
-	rec = wire.AppendFrame(rec, payload)
-	rec = append(rec, '\n')
-	wire.PutBuf(payload)
+	payload := appendRecordAck(wire.GetBuf(16), id)
 	q.notifs[i].Acked = true
 	q.pending--
 	s.pendingTotal.Add(-1)
 	if m != nil {
 		m.acked.Inc()
 	}
-	err = q.appendCommit(rec, 1, nil, m, s.syncOnCommit)
-	wire.PutBuf(rec)
-	return err
+	t, err := q.log.StageRecord(payload)
+	q.mu.Unlock()
+	wire.PutBuf(payload)
+	if err != nil {
+		return err
+	}
+	return t.Wait()
 }
 
 // Watch returns a channel receiving notifications as they are enqueued
@@ -1128,8 +970,8 @@ func (s *Store) Participants() ([]string, error) {
 	return out, nil
 }
 
-// Close flushes and closes every queue file, waiting for in-flight
-// commit groups to land first. Watch channels are closed.
+// Close closes every queue journal, waiting for in-flight commit groups
+// to land first. Watch channels are closed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1146,23 +988,15 @@ func (s *Store) Close() error {
 	for _, q := range queues {
 		q.mu.Lock()
 		q.closed = true
-		// Wait for the in-flight commit to release the file. A leader
-		// still waiting its turn sees q.closed on wake and fails its
-		// group without touching the file.
-		for q.writing {
-			q.cond.Wait()
-		}
-		if err := q.w.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := q.file.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 		for _, ch := range q.watches {
 			close(ch)
 		}
 		q.watches = nil
 		q.mu.Unlock()
+		// The journal lets groups already staged land before closing.
+		if err := q.log.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	return firstErr
 }

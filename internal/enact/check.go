@@ -4,90 +4,47 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"github.com/mcc-cmi/cmi/internal/wire"
+	"github.com/mcc-cmi/cmi/internal/journal"
 )
 
 // A WALCheck is the offline verification report for the enactment
 // write-ahead log, produced by CheckWAL — the enact half of the
 // `cmictl fsck` state-dir verifier.
 type WALCheck struct {
-	// Records counts the decodable journal records (binary frames and
-	// legacy JSON lines) before any damage point.
-	Records int
+	// Report is how the journal ends (journal.Check): records decoded
+	// before any stop point, torn tail, corruption, refused format.
+	journal.Report
 	// LastSeq is the highest sequence number observed.
 	LastSeq int64
-	// BadRecords counts CRC-valid records that failed to decode,
-	// excluding a torn final line.
-	BadRecords int
 	// SeqRegressions counts records whose sequence number failed to
 	// increase — sequences are assigned monotonically under the staging
 	// lock, so any regression means damage or splicing.
 	SeqRegressions int
-	// Torn reports the scan stopped before end of file; Corrupt narrows
-	// that to mid-journal damage (intact frames exist past the stop
-	// point). TornOffset is the byte offset of the record the scan
-	// stopped at.
-	Torn       bool
-	Corrupt    bool
-	TornOffset int64
 }
 
 // Damaged reports whether the journal needs repair: anything beyond
 // the torn tail a crash legitimately leaves behind.
 func (c WALCheck) Damaged() bool {
-	return c.Corrupt || c.BadRecords > 0 || c.SeqRegressions > 0
+	return c.Report.Damaged() || c.SeqRegressions > 0
 }
 
-// CheckWAL verifies the write-ahead log offline: frame CRCs, record
-// decode, and sequence-number monotonicity. It never modifies the
+// CheckWAL verifies the write-ahead log offline: the journal scan plus
+// record decode and sequence-number monotonicity. It never modifies the
 // data; quarantine decisions belong to the caller (see internal/fsck).
 func CheckWAL(data []byte) WALCheck {
 	var c WALCheck
-	sc := wire.NewScanner(data)
-	pendingBad := false
-	for {
-		off := sc.Offset()
-		raw, isFrame, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if pendingBad {
-			c.BadRecords++
-			pendingBad = false
-		}
+	c.Report = journal.Check(data, func(_ int64, payload []byte) error {
 		var rec walRecord
-		if isFrame {
-			if decodeWALRecord(raw, &rec) != nil {
-				// A checksum-valid frame that fails to decode was fully
-				// committed — this is damage, never a torn write.
-				c.BadRecords++
-				c.Corrupt = true
-				if !c.Torn {
-					c.Torn, c.TornOffset = true, off
-				}
-				continue
-			}
-		} else if json.Unmarshal(raw, &rec) != nil {
-			pendingBad = true
-			continue
+		if err := decodeWALRecord(payload, &rec); err != nil {
+			return err
 		}
-		c.Records++
 		if rec.Seq <= c.LastSeq {
 			c.SeqRegressions++
-		}
-		if rec.Seq > c.LastSeq {
+		} else {
 			c.LastSeq = rec.Seq
 		}
-	}
-	if pendingBad {
-		c.Torn = true // unparsable final line: legacy torn tail
-	}
-	if sc.Torn() {
-		if !c.Torn {
-			c.Torn, c.TornOffset = true, sc.TornOffset()
-		}
-		c.Corrupt = c.Corrupt || sc.CorruptMidJournal()
-	}
+		return nil
+	})
 	return c
 }
 

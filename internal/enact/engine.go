@@ -145,6 +145,9 @@ type Engine struct {
 	snapEvery  int
 	replaying  atomic.Bool
 	compacting atomic.Bool
+	// compactMu serializes Compact with CloseWAL, so no snapshot is
+	// written once the journal is closed.
+	compactMu sync.Mutex
 
 	metrics atomic.Pointer[enactMetrics]
 }
@@ -417,12 +420,9 @@ func (e *Engine) Observe(c event.Consumer) {
 }
 
 // replaySrc feeds one journal record's captured nondeterminism back into
-// the re-executed operation: guard outcomes, and (for v2 records) the
-// exact process/activity/context ids the original execution drew.
-// Legacy records instead force the global counters before re-execution
-// (sequential replay only).
+// the re-executed operation: guard outcomes and the exact
+// process/activity/context ids the original execution drew.
 type replaySrc struct {
-	legacy bool
 	pid    int
 	aids   []int
 	cids   []int
@@ -459,9 +459,9 @@ func bumpMax(a *atomic.Int64, n int64) {
 }
 
 // allocProcID draws the next process id — from the replay source when
-// re-executing a v2 record, from the global counter otherwise.
+// re-executing a record, from the global counter otherwise.
 func (e *Engine) allocProcID(p *pending) string {
-	if p.src != nil && !p.src.legacy && p.src.pid > 0 {
+	if p.src != nil && p.src.pid > 0 {
 		n := p.src.pid
 		p.src.pid = 0
 		bumpMax(&e.nextProc, int64(n))
@@ -474,7 +474,7 @@ func (e *Engine) allocProcID(p *pending) string {
 
 // allocActID draws the next activity id (see allocProcID).
 func (e *Engine) allocActID(p *pending) string {
-	if p.src != nil && !p.src.legacy && len(p.src.aids) > 0 {
+	if p.src != nil && len(p.src.aids) > 0 {
 		n := p.src.aids[0]
 		p.src.aids = p.src.aids[1:]
 		bumpMax(&e.nextAct, int64(n))
@@ -486,12 +486,12 @@ func (e *Engine) allocActID(p *pending) string {
 }
 
 // createContext creates a context owned by the given family — at its
-// recorded serial during v2 replay, at the next serial otherwise — and
+// recorded serial during replay, at the next serial otherwise — and
 // indexes its creating family for stripe planning.
 func (e *Engine) createContext(p *pending, root string, schema *core.ResourceSchema, ref event.ProcessRef) (*core.Context, error) {
 	var ctx *core.Context
 	var err error
-	if p.src != nil && !p.src.legacy && len(p.src.cids) > 0 {
+	if p.src != nil && len(p.src.cids) > 0 {
 		n := p.src.cids[0]
 		p.src.cids = p.src.cids[1:]
 		ctx, err = e.contexts.CreateAt(n, schema, ref)
@@ -589,15 +589,12 @@ func (e *Engine) emitProcess(p *pending, pi *ProcessInstance, old, new core.Stat
 // open commit group. Must be called with the operation's stripes still
 // locked, so the journal's global sequence is a legal linearization:
 // records of one family appear in that family's operation order. The
-// returned handle's wait() lands the group; when no WAL is attached (or
+// returned handle's Wait lands the group; when no WAL is attached (or
 // the engine is replaying) it waits for nothing.
 func (e *Engine) stageHeld(p *pending, fam string, rec *walRecord) (walCommit, error) {
 	if e.wal == nil || e.replaying.Load() {
 		return walCommit{}, nil
 	}
-	rec.NP = int(e.nextProc.Load())
-	rec.NA = int(e.nextAct.Load())
-	rec.NC = e.contexts.Serial()
 	rec.Fam = fam
 	rec.PID = p.pid
 	rec.AIDs = p.aids
@@ -614,7 +611,7 @@ func (e *Engine) stageHeld(p *pending, fam string, rec *walRecord) (walCommit, e
 // survives is decided by the journal on restart (accept-then-commit,
 // like the delivery journal).
 func (e *Engine) finish(c walCommit, p *pending, emit int) error {
-	if err := c.wait(); err != nil {
+	if err := c.Wait(); err != nil {
 		return err
 	}
 	e.flush(p, emit)

@@ -9,6 +9,7 @@ import (
 
 	"github.com/mcc-cmi/cmi/internal/core"
 	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/vclock"
 )
 
@@ -82,7 +83,8 @@ func TestWALWriteFailurePoisons(t *testing.T) {
 // during the journal rewrite must surface as an error and leave the
 // old journal intact.
 func TestTruncateThroughSyncFailure(t *testing.T) {
-	wf := newWALFixture(t, -1)
+	// An unsynced WAL: the first fsync is the rewrite's own.
+	wf := newFaultWALFixture(t, fs.NewFault(nil, fs.FaultConfig{FailSyncAt: 1}), false)
 	wf.register(t, simpleProcess())
 	if _, err := wf.eng.StartProcess("TaskForce", StartOptions{Initiator: "dr.reed"}); err != nil {
 		t.Fatal(err)
@@ -93,11 +95,6 @@ func TestTruncateThroughSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Swap in a faulting filesystem and make the rewrite's fsync fail.
-	w.mu.Lock()
-	w.fsys = fs.NewFault(nil, fs.FaultConfig{FailSyncAt: 1})
-	w.syncFile = true
-	w.mu.Unlock()
 	if err := w.TruncateThrough(0); !errors.Is(err, fs.ErrInjected) {
 		t.Fatalf("TruncateThrough: want injected sync failure, got %v", err)
 	}
@@ -133,8 +130,8 @@ func TestMidWALCorruptionSurfacedInRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, scan, err := decodeWALRecords(wf.walPath)
-	if err != nil || scan.torn {
-		t.Fatalf("pre-corruption decode: torn=%v err=%v", scan.torn, err)
+	if err != nil || scan.State != journal.Clean {
+		t.Fatalf("pre-corruption decode: %v, err=%v", scan.State, err)
 	}
 	if len(recs) < 4 {
 		t.Fatalf("workload journaled only %d records", len(recs))
@@ -221,12 +218,12 @@ func TestCheckWALDetectsDamage(t *testing.T) {
 	}
 	corrupted, _ := os.ReadFile(wf.walPath)
 	cc := CheckWAL(corrupted)
-	if !cc.Damaged() || !cc.Corrupt || !cc.Torn || cc.Records != 2 {
+	if !cc.Damaged() || cc.State != journal.Corrupt || cc.Records != 2 {
 		t.Fatalf("corrupt wal misreported: %+v", cc)
 	}
 
 	tc := CheckWAL(clean[:len(clean)-5])
-	if tc.Damaged() || !tc.Torn {
+	if tc.Damaged() || tc.State != journal.Torn {
 		t.Fatalf("torn tail misreported: %+v", tc)
 	}
 }

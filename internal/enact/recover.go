@@ -12,7 +12,7 @@ import (
 
 	"github.com/mcc-cmi/cmi/internal/core"
 	"github.com/mcc-cmi/cmi/internal/fs"
-	"github.com/mcc-cmi/cmi/internal/wire"
+	"github.com/mcc-cmi/cmi/internal/journal"
 )
 
 // Recovery: rebuild the engine from <StateDir>/enact.snap (the latest
@@ -23,13 +23,11 @@ import (
 // e.replaying set: performer checks are skipped (the directory is not
 // persisted), guard evaluations consume the outcomes recorded in the
 // journal, and each operation re-draws the exact ids its record carries
-// (v2 records; legacy records instead force the shared id counters) —
-// so the recovered instances carry their original ids and every
+// — so the recovered instances carry their original ids and every
 // recovered state was produced by the engine's own transition logic,
 // making it schema-legal by construction. When the engine has more than
-// one lock stripe and every record is v2, replay partitions by process
-// family across the stripes (see replayParallel); otherwise it is
-// strictly sequential. Recovery runs before any observers are wired, so
+// one lock stripe, replay partitions by process family across the
+// stripes (see replayParallel); otherwise it is strictly sequential. Recovery runs before any observers are wired, so
 // replayed operations emit into an empty observer list: awareness
 // detection and delivery never see recovered history, and the delivery
 // journal's keyed dedup remains the backstop for anything a crash left
@@ -101,7 +99,7 @@ type RecoveryStats struct {
 	// continue from it.
 	LastSeq int64
 	// Lanes is the number of stripes replay fanned out across; 0 for a
-	// sequential pass (single-stripe engine or legacy records present).
+	// sequential pass (single-stripe engine).
 	Lanes int
 	// Elapsed is the wall time of the recovery pass.
 	Elapsed time.Duration
@@ -173,11 +171,12 @@ func (e *Engine) Recover(snapPath, walPath string) (RecoveryStats, error) {
 	if walErr != nil {
 		return stats, walErr
 	}
-	stats.TornTail = scan.torn
-	stats.Corrupt = scan.corrupt
-	stats.CorruptOffset = scan.offset
+	stats.TornTail = scan.State == journal.Torn
+	stats.Corrupt = scan.State == journal.Corrupt
+	if stats.Corrupt {
+		stats.CorruptOffset = scan.Offset
+	}
 	live := make([]*walRecord, 0, len(recs))
-	allV2 := true
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Seq > stats.LastSeq {
@@ -187,12 +186,9 @@ func (e *Engine) Recover(snapPath, walPath string) (RecoveryStats, error) {
 			stats.Skipped++ // covered by the snapshot
 			continue
 		}
-		if !rec.V2 {
-			allV2 = false
-		}
 		live = append(live, rec)
 	}
-	if len(e.stripes) > 1 && allV2 {
+	if len(e.stripes) > 1 {
 		e.replayParallel(live, &stats)
 	} else {
 		for _, rec := range live {
@@ -207,10 +203,10 @@ func (e *Engine) Recover(snapPath, walPath string) (RecoveryStats, error) {
 	return stats, nil
 }
 
-// replayParallel re-executes v2 records with unrelated process families
+// replayParallel re-executes records with unrelated process families
 // fanned out across the engine's stripes: each record is queued on its
 // family's lane, queues drain concurrently, and within a lane journal
-// order is preserved — which is all replay determinism needs, because v2
+// order is preserved — which is all replay determinism needs, because
 // records carry their drawn ids and guard outcomes instead of sharing
 // forced counters. Records that cannot be partitioned — no family root,
 // or a start binding input contexts (whose creating records live on
@@ -258,66 +254,40 @@ func (e *Engine) replayParallel(recs []*walRecord, stats *RecoveryStats) {
 	stats.Lanes = len(e.stripes)
 }
 
-// walScan reports how the journal read ended: clean, at a torn tail
-// (the crash artifact replay tolerates), or at mid-journal corruption
-// (damage inside committed history, surfaced loudly via RecoveryStats).
-type walScan struct {
-	torn    bool
-	corrupt bool
-	offset  int64 // start of the record the scan stopped at
-}
-
 // decodeWALRecords reads the journal and decodes every record into
-// memory. Raw records are sliced out sequentially (the scanner is
-// cheap); decoding — the expensive part of replay — fans out across
-// GOMAXPROCS workers in index-ordered chunks, so the returned slice
-// preserves journal order for the strictly sequential application pass.
-// Decoding stops at the first undecodable record, exactly like the
-// sequential replay did: a logical log cannot skip a record and keep
-// applying — everything after a torn record is unreachable. A bad
-// record with intact frames after it is mid-journal corruption, not a
-// torn tail, and is flagged so for the caller.
-func decodeWALRecords(walPath string) ([]walRecord, walScan, error) {
-	var scan walScan
+// memory. The journal scan slices the raw records out (cheap); decoding
+// — the expensive part of replay — fans out across GOMAXPROCS workers
+// in index-ordered chunks, so the returned slice preserves journal
+// order for the application pass. The first record that fails to decode
+// stops the journal there, under the journal's one rule (Report.Reject):
+// everything after it is unreachable, since a logical log cannot skip a
+// record and keep applying. A journal in a refused format is an error.
+func decodeWALRecords(walPath string) ([]walRecord, journal.Report, error) {
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, scan, nil
+			return nil, journal.Report{}, nil
 		}
-		return nil, scan, fmt.Errorf("enact: read wal: %w", err)
+		return nil, journal.Report{}, fmt.Errorf("enact: read wal: %w", err)
 	}
 	type rawRec struct {
-		b     []byte
-		frame bool
-		off   int64
+		b   []byte
+		off int64
 	}
 	var raws []rawRec
-	sc := wire.NewScanner(data)
-	for {
-		off := sc.Offset()
-		b, frame, ok := sc.Next()
-		if !ok {
-			break
-		}
-		raws = append(raws, rawRec{b, frame, off})
-	}
-	if sc.Torn() {
-		scan.torn = true
-		scan.offset = sc.TornOffset()
-		scan.corrupt = sc.CorruptMidJournal()
+	scan := journal.Check(data, func(off int64, payload []byte) error {
+		raws = append(raws, rawRec{payload, off})
+		return nil
+	})
+	if scan.State == journal.Legacy {
+		return nil, scan, scan.Err(walPath)
 	}
 	if len(raws) == 0 {
 		return nil, scan, nil
 	}
 	recs := make([]walRecord, len(raws))
-	bad := make([]bool, len(raws))
-	decodeOne := func(i int) {
-		if raws[i].frame {
-			bad[i] = decodeWALRecord(raws[i].b, &recs[i]) != nil
-		} else {
-			bad[i] = json.Unmarshal(raws[i].b, &recs[i]) != nil
-		}
-	}
+	errs := make([]error, len(raws))
+	decodeOne := func(i int) { errs[i] = decodeWALRecord(raws[i].b, &recs[i]) }
 	const chunk = 256
 	workers := runtime.GOMAXPROCS(0)
 	if workers > (len(raws)+chunk-1)/chunk {
@@ -351,13 +321,12 @@ func decodeWALRecords(walPath string) ([]walRecord, walScan, error) {
 			decodeOne(i)
 		}
 	}
-	for i := range bad {
-		if bad[i] {
-			scan.torn = true
-			scan.offset = raws[i].off
-			// An undecodable record followed by decodable ones is damage
-			// inside committed history, not a crashed final append.
-			scan.corrupt = scan.corrupt || i < len(raws)-1
+	for i, err := range errs {
+		if err != nil {
+			scan.Reject(i, raws[i].off, err)
+			if scan.State == journal.Legacy {
+				return nil, scan, scan.Err(walPath)
+			}
 			return recs[:i], scan, nil
 		}
 	}
@@ -365,11 +334,11 @@ func decodeWALRecords(walPath string) ([]walRecord, walScan, error) {
 }
 
 // replaySrcOf extracts a record's captured nondeterminism for replay:
-// guard outcomes always; for v2 records also the drawn ids, so the
-// re-executed operation draws the same values without touching the
-// shared counters (the property parallel replay depends on).
+// the guard outcomes and the drawn ids, so the re-executed operation
+// draws the same values without touching the shared counters (the
+// property parallel replay depends on).
 func replaySrcOf(rec *walRecord) *replaySrc {
-	src := &replaySrc{legacy: !rec.V2, pid: rec.PID}
+	src := &replaySrc{pid: rec.PID}
 	if len(rec.G) > 0 {
 		src.guards = append([]bool(nil), rec.G...)
 	}
@@ -385,15 +354,6 @@ func replaySrcOf(rec *walRecord) *replaySrc {
 // applyRecord re-executes one journaled operation.
 func (e *Engine) applyRecord(rec *walRecord) error {
 	src := replaySrcOf(rec)
-	if src.legacy && rec.Kind != walSetField {
-		// Legacy (v1) records do not carry their drawn ids, so force the
-		// counters the operation saw; failed (unjournaled) operations may
-		// have burned ids in between. Only sound under sequential replay
-		// — Recover falls back to it when any legacy record is present.
-		e.nextProc.Store(int64(rec.NP))
-		e.nextAct.Store(int64(rec.NA))
-		e.contexts.SetSerial(rec.NC)
-	}
 	switch rec.Kind {
 	case walStartProcess:
 		_, err := e.startProcess(rec.Schema, StartOptions{Initiator: rec.User, InputContexts: rec.Inputs}, src)
@@ -476,7 +436,7 @@ func (e *Engine) AttachWAL(w *WAL, snapPath string, snapEvery int) {
 			return func() error { return err }
 		}
 		return func() error {
-			if err := c.wait(); err != nil {
+			if err := c.Wait(); err != nil {
 				return err
 			}
 			e.maybeCompact()
@@ -497,8 +457,9 @@ func (e *Engine) WAL() *WAL {
 }
 
 // CloseWAL seals and closes the attached journal: in-flight commit
-// groups land, then further state-changing operations fail. Idempotent;
-// a nil-WAL engine is a no-op.
+// groups land and a running background compaction finishes (so no
+// snapshot is written after the close), then further state-changing
+// operations fail. Idempotent; a nil-WAL engine is a no-op.
 func (e *Engine) CloseWAL() error {
 	e.idx.RLock()
 	w := e.wal
@@ -506,6 +467,8 @@ func (e *Engine) CloseWAL() error {
 	if w == nil {
 		return nil
 	}
+	e.compactMu.Lock()
+	defer e.compactMu.Unlock()
 	return w.Close()
 }
 
@@ -534,6 +497,8 @@ func (e *Engine) maybeCompact() {
 // operations: the engine pauses while the state is exported; the
 // snapshot write and journal rewrite run outside the engine lock.
 func (e *Engine) Compact() error {
+	e.compactMu.Lock()
+	defer e.compactMu.Unlock()
 	start := time.Now()
 	h := e.lockAll()
 	e.idx.RLock()
@@ -550,6 +515,12 @@ func (e *Engine) Compact() error {
 	// registry lock), later ones survive the truncation and replay
 	// idempotently over the snapshot.
 	lastSeq := w.Barrier()
+	if err := w.log.Err(); err != nil {
+		// A closed journal takes no snapshot; a poisoned one must not: the
+		// in-memory state holds operations whose commit failed.
+		h.unlock()
+		return err
+	}
 	snap, err := e.exportLocked(lastSeq)
 	h.unlock()
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/mcc-cmi/cmi/internal/core"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/vclock"
 )
 
@@ -353,7 +354,7 @@ func TestCompactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(splitLines(data)); n != 0 {
+	if n := journal.Check(data, nil).Records; n != 0 {
 		t.Fatalf("journal not truncated after compaction: %d records remain", n)
 	}
 
@@ -472,11 +473,16 @@ func TestTornTailDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append the torn prefix of a record, as a crash mid-write would.
+	payload, err := appendWALRecord(nil, &walRecord{Seq: 999999, Kind: walStartProcess, Schema: "TaskForce"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := journal.AppendRecord(nil, payload)
 	fh, err := os.OpenFile(wf.walPath, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fh.WriteString(`{"seq":999999,"kind":"start_`); err != nil {
+	if _, err := fh.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
 	fh.Close()

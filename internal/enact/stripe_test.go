@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/mcc-cmi/cmi/internal/core"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/vclock"
 )
 
@@ -147,8 +148,8 @@ func runStripedProperty(t *testing.T, stripes int) {
 
 	// Property 1: per-family journal order is program order.
 	recs, scan, err := decodeWALRecords(walPath)
-	if err != nil || scan.torn {
-		t.Fatalf("decode journal: torn=%v err=%v", scan.torn, err)
+	if err != nil || scan.State != journal.Clean {
+		t.Fatalf("decode journal: %v, err=%v", scan.State, err)
 	}
 	wantRecords := 0
 	for _, fl := range logs {
@@ -160,9 +161,6 @@ func runStripedProperty(t *testing.T, stripes int) {
 	got := make(map[string][]string)
 	for i := range recs {
 		rec := &recs[i]
-		if !rec.V2 {
-			t.Fatalf("record %d (%s) is not v2", i, rec.Kind)
-		}
 		if rec.Fam == "" {
 			t.Fatalf("record %d (%s) has no family root", i, rec.Kind)
 		}

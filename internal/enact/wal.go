@@ -1,10 +1,7 @@
 package enact
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +9,7 @@ import (
 
 	"github.com/mcc-cmi/cmi/internal/core"
 	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/obs"
 	"github.com/mcc-cmi/cmi/internal/wire"
 )
@@ -24,15 +22,12 @@ import (
 // operation, so every recovered state is reachable — and therefore
 // legal — by construction.
 //
-// Records are staged while the originating operation still holds the
-// engine lock (so file order equals operation order) and committed with
-// the same leader/joiner group-commit protocol as the delivery journal
-// (internal/delivery/store.go): the first staller to find no open group
-// leads it; writers arriving while the previous commit holds the file
-// join the open group; the leader seals and writes the batch with one
-// write + flush (+ fsync when the WAL is opened with Sync). The
-// operation's events are delivered to observers only after its commit
-// group lands — no notification ever refers to an unjournaled change.
+// The WAL is a record codec over a journal.Log: records are staged
+// while the originating operation still holds its stripe lock (so file
+// order equals operation order) and group-committed after the lock is
+// released. The operation's events are delivered to observers only
+// after its commit group lands — no notification ever refers to an
+// unjournaled change.
 
 // WAL record kinds, one per state-changing engine operation plus the
 // context field mutation journaled via core.Registry's logger hook.
@@ -55,50 +50,37 @@ const (
 // A walRecord is one journaled operation. G carries the outcomes of the
 // guard evaluations the operation performed, in evaluation order; replay
 // consumes them instead of re-evaluating, which keeps replay independent
-// of set_field records that raced the operation.
-//
-// Records come in two generations. Legacy ("v1") records rely on
-// NP/NA/NC — the engine's process/activity id counters and the context
-// registry's id counter — which replay forces before re-executing, an
-// approach that only works when replay is strictly sequential. Current
-// ("v2") records additionally carry the family root (Fam) and the exact
-// ids the operation drew (PID, AIDs, CIDs), so replay can re-execute
-// unrelated families concurrently; for them NP/NA/NC are written as the
-// post-operation counter values, purely informational — so a v2 record
-// must never take the forcing path. In the binary format V2 is implied
-// by the presence of the trailing id section; the JSON encoding carries
-// it explicitly so a re-encoded record keeps its generation.
+// of set_field records that raced the operation. Fam is the family root
+// and PID, AIDs and CIDs the exact ids the operation drew, so replay
+// re-draws them without touching the shared counters and can re-execute
+// unrelated families concurrently.
 type walRecord struct {
-	Seq  int64  `json:"seq"`
-	Kind string `json:"kind"`
-	NP   int    `json:"np,omitempty"`
-	NA   int    `json:"na,omitempty"`
-	NC   int    `json:"nc,omitempty"`
-	User string `json:"user,omitempty"`
+	Seq  int64
+	Kind string
+	User string
 
-	Proc   string            `json:"proc,omitempty"`
-	Act    string            `json:"act,omitempty"`
-	Var    string            `json:"var,omitempty"`
-	Schema string            `json:"schema,omitempty"`
-	Inputs map[string]string `json:"inputs,omitempty"`
-	To     string            `json:"to,omitempty"`
+	Proc   string
+	Act    string
+	Var    string
+	Schema string
+	Inputs map[string]string
+	To     string
 
-	Ctx   string          `json:"ctx,omitempty"`
-	Field string          `json:"field,omitempty"`
-	Value *core.WireValue `json:"value,omitempty"`
+	Ctx   string
+	Field string
+	Value *core.WireValue
 
-	AV     *walActivityVar `json:"av,omitempty"`
-	Enable bool            `json:"enable,omitempty"`
-	Dep    *walDependency  `json:"dep,omitempty"`
-	Defs   *walSchemaTable `json:"defs,omitempty"`
+	AV     *walActivityVar
+	Enable bool
+	Dep    *walDependency
+	Defs   *walSchemaTable
 
-	G []bool `json:"g,omitempty"`
+	G []bool
 
-	Fam  string `json:"fam,omitempty"`
-	PID  int    `json:"pid,omitempty"`
-	AIDs []int  `json:"aids,omitempty"`
-	CIDs []int  `json:"cids,omitempty"`
-	V2   bool   `json:"v2,omitempty"`
+	Fam  string
+	PID  int
+	AIDs []int
+	CIDs []int
 }
 
 // WALOptions configure the enactment journal.
@@ -120,37 +102,16 @@ type walMetrics struct {
 	encode       *obs.Histogram
 }
 
-// A walGroup is one group-commit batch, as in the delivery journal.
-type walGroup struct {
-	buf  []byte
-	n    int
-	err  error
-	done chan struct{}
-}
-
 // A WAL is the enactment write-ahead log writer.
 type WAL struct {
-	path     string
-	syncFile bool
-	fsys     fs.FS
+	log  *journal.Log[struct{}]
+	fsys fs.FS
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	file    fs.File
-	w       *bufio.Writer
-	seq     int64
-	open    *walGroup
-	writing bool
-	closed  bool
-	spare   []byte
-	encBuf  []byte // per-WAL binary encode scratch, reused under mu
-	// poisoned is the sticky error set by the first failed commit
-	// write/flush/fsync: per fsyncgate semantics the durable suffix of
-	// the journal is unknown after that, so the WAL refuses every
-	// later stage instead of retrying the descriptor. poisonedFlag
-	// mirrors it for the lock-free health/metrics read.
-	poisoned     error
-	poisonedFlag atomic.Bool
+	// mu orders sequence assignment with staging, so sequence order is
+	// file order; encBuf is the encode scratch it guards.
+	mu     sync.Mutex
+	seq    int64
+	encBuf []byte
 
 	// sinceSnap counts records staged since the last snapshot; the
 	// engine reads it to decide when to compact.
@@ -160,21 +121,15 @@ type WAL struct {
 }
 
 // OpenWAL opens (creating if necessary) the enactment journal at path
-// for appending.
+// for appending. Records are read by Engine.Recover, before the WAL is
+// opened; the open only checks frames, truncating a torn tail and
+// opening a corrupt journal poisoned (see journal.Open).
 func OpenWAL(path string, opts WALOptions) (*WAL, error) {
-	fsys := fs.Or(opts.FS)
-	f, err := fsys.OpenAppend(path)
+	log, _, err := journal.Open[struct{}](path, journal.Options[struct{}]{FS: opts.FS, Sync: opts.Sync}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("enact: open wal: %w", err)
 	}
-	w := &WAL{
-		path:     path,
-		syncFile: opts.Sync,
-		fsys:     fsys,
-		file:     f,
-		w:        bufio.NewWriter(f),
-	}
-	w.cond = sync.NewCond(&w.mu)
+	w := &WAL{log: log, fsys: fs.Or(opts.FS)}
 	if opts.Metrics != nil {
 		w.m = &walMetrics{
 			appends: opts.Metrics.Counter("cmi_enact_wal_appends_total",
@@ -188,7 +143,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 		opts.Metrics.GaugeFunc("cmi_enact_wal_poisoned",
 			"1 when a failed write or fsync has poisoned the enactment WAL (all further operations refused).",
 			func() float64 {
-				if w.poisonedFlag.Load() {
+				if w.Poisoned() {
 					return 1
 				}
 				return 0
@@ -201,7 +156,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 // permanently poisoned the WAL. A poisoned WAL refuses every further
 // operation; the process must be restarted (recovery replays the
 // journal's durable prefix) after the underlying disk fault is fixed.
-func (w *WAL) Poisoned() bool { return w.poisonedFlag.Load() }
+func (w *WAL) Poisoned() bool { return w.log.Poisoned() }
 
 // Poison marks the WAL permanently unusable with the given error —
 // every further stage and truncate fails with it. The system layer
@@ -209,17 +164,7 @@ func (w *WAL) Poisoned() bool { return w.poisonedFlag.Load() }
 // past the damage would assign sequence numbers the unreachable
 // suffix already used, so the journal must stay read-only (and
 // uncompacted, preserving the evidence for fsck).
-func (w *WAL) Poison(err error) {
-	if err == nil {
-		return
-	}
-	w.mu.Lock()
-	if w.poisoned == nil {
-		w.poisoned = err
-		w.poisonedFlag.Store(true)
-	}
-	w.mu.Unlock()
-}
+func (w *WAL) Poison(err error) { w.log.Poison(err) }
 
 // SetSeq forces the sequence counter; recovery calls it with the
 // highest sequence observed in the snapshot and journal so fresh
@@ -251,140 +196,42 @@ func (w *WAL) Seq() int64 {
 }
 
 // Path returns the journal file path.
-func (w *WAL) Path() string { return w.path }
+func (w *WAL) Path() string { return w.log.Path() }
 
 // A walCommit is the handle an operation holds between staging its
 // record (under the engine lock) and waiting for the record's commit
 // group to land (after releasing it). The zero value waits for nothing
 // — used when no WAL is attached or the engine is replaying.
-type walCommit struct {
-	w      *WAL
-	g      *walGroup
-	leader bool
-}
+type walCommit = journal.Ticket[struct{}]
 
 // stage encodes the record, assigns it the next sequence number and
-// adds it to the open commit group (creating one if none is forming).
-// Callers stage while holding the engine (or context registry) lock, so
-// sequence order equals operation order equals file order.
+// adds it to the open commit group. Callers stage while holding the
+// engine (or context registry) lock, so sequence order equals
+// operation order equals file order.
 func (w *WAL) stage(rec *walRecord) (walCommit, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return walCommit{}, fmt.Errorf("enact: wal is closed")
-	}
-	if w.poisoned != nil {
-		return walCommit{}, w.poisoned
-	}
-	w.seq++
-	rec.Seq = w.seq
+	rec.Seq = w.seq + 1
 	var t0 time.Time
 	if w.m != nil {
 		t0 = time.Now()
 	}
 	enc, err := appendWALRecord(w.encBuf[:0], rec)
 	if err != nil {
-		w.seq-- // the record never existed
 		return walCommit{}, fmt.Errorf("enact: encode wal record: %w", err)
 	}
 	w.encBuf = enc
+	c, err := w.log.StageRecord(enc)
+	if err != nil {
+		return walCommit{}, err
+	}
+	w.seq++
 	w.sinceSnap.Add(1)
 	if w.m != nil {
 		w.m.encode.Observe(time.Since(t0))
 		w.m.appends.Inc()
 	}
-	if g := w.open; g != nil {
-		g.buf = wire.AppendFrame(g.buf, enc)
-		g.buf = append(g.buf, '\n')
-		g.n++
-		return walCommit{w: w, g: g}, nil
-	}
-	g := &walGroup{buf: wire.AppendFrame(w.spare[:0], enc), done: make(chan struct{})}
-	w.spare = nil
-	g.buf = append(g.buf, '\n')
-	g.n = 1
-	w.open = g
-	return walCommit{w: w, g: g, leader: true}, nil
-}
-
-// wait blocks until the commit group containing the staged record is
-// durably written, leading the commit if this staging opened the group.
-func (c walCommit) wait() error {
-	if c.w == nil {
-		return nil
-	}
-	if !c.leader {
-		<-c.g.done
-		return c.g.err
-	}
-	w, g := c.w, c.g
-	w.mu.Lock()
-	for w.writing {
-		w.cond.Wait() // joiners accumulate in w.open meanwhile
-	}
-	if w.syncFile && !w.closed {
-		// Linger one scheduler yield before sealing so writers released
-		// by the previous commit's fsync can reach the queue and join
-		// this group (see delivery/store.go for the rationale).
-		w.mu.Unlock()
-		runtime.Gosched()
-		w.mu.Lock()
-	}
-	if w.open == g {
-		w.open = nil // seal: later writers start the next group
-	}
-	if w.closed {
-		g.err = fmt.Errorf("enact: wal is closed")
-		close(g.done)
-		w.cond.Broadcast()
-		w.mu.Unlock()
-		return g.err
-	}
-	w.writing = true
-	w.mu.Unlock()
-	_, err := w.w.Write(g.buf)
-	if err == nil {
-		err = w.w.Flush()
-	}
-	if err == nil && w.syncFile {
-		err = w.file.Sync()
-	}
-	if err != nil {
-		err = fmt.Errorf("enact: wal commit: %w", err)
-	}
-	w.mu.Lock()
-	w.writing = false
-	w.spare = g.buf[:0]
-	if err != nil && w.poisoned == nil && !w.closed {
-		// fsyncgate: the kernel may have dropped the dirty pages on the
-		// failed write/fsync, so the journal's durable suffix is
-		// unknown and a retried Sync on this descriptor could falsely
-		// succeed. Poison the WAL permanently: every joiner of this
-		// group fails now (g.err), every later stage fails fast.
-		w.poisoned = fmt.Errorf("enact: wal poisoned: %w", err)
-		w.poisonedFlag.Store(true)
-	}
-	g.err = err
-	close(g.done)
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	return err
-}
-
-// quiesceLocked waits until no commit group is forming or writing.
-// Called with w.mu held.
-func (w *WAL) quiesceLocked() {
-	for w.open != nil || w.writing {
-		if w.open != nil && !w.writing {
-			// The open group's leader is itself waiting (on this cond,
-			// or to re-take the lock). Yield the lock so it can seal.
-			w.mu.Unlock()
-			runtime.Gosched()
-			w.mu.Lock()
-			continue
-		}
-		w.cond.Wait()
-	}
+	return c, nil
 }
 
 // Barrier waits for every staged record to be durably written and
@@ -394,113 +241,44 @@ func (w *WAL) quiesceLocked() {
 func (w *WAL) Barrier() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.quiesceLocked()
+	w.log.Barrier()
 	return w.seq
 }
 
 // TruncateThrough rewrites the journal keeping only records with a
 // sequence greater than lastSeq — those staged after the snapshot's
 // high-water mark (late set_field stragglers; their replay over the
-// snapshot is idempotent). The rewrite is tmp+fsync+rename+parent-dir
-// fsync (fs.ReplaceFile), crash-safe at any point: before the rename
-// the old journal stands, after it the new one, and the snapshot covers
-// everything dropped either way. An fsync failure during the rewrite is
-// propagated, never ignored — the old journal stays in place.
+// snapshot is idempotent) — through journal.Log.Rewrite, crash-safe at
+// any point: the snapshot covers everything dropped. A failure is
+// propagated and leaves the old journal in place.
 func (w *WAL) TruncateThrough(lastSeq int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.quiesceLocked()
-	if w.closed {
-		return fmt.Errorf("enact: wal is closed")
+	w.log.Barrier()
+	if err := w.log.Err(); err != nil {
+		return err
 	}
-	if w.poisoned != nil {
-		return w.poisoned
-	}
-	data, err := w.fsys.ReadFile(w.path)
+	data, err := w.fsys.ReadFile(w.log.Path())
 	if err != nil {
 		return fmt.Errorf("enact: wal truncate: %w", err)
 	}
 	var keep []byte
-	sc := wire.NewScanner(data)
-	for {
-		rec, isFrame, ok := sc.Next()
-		if !ok {
-			break
+	journal.Check(data, func(_ int64, payload []byte) error {
+		if seq, ok := walRecordSeq(payload); ok && seq > lastSeq {
+			keep = journal.AppendRecord(keep, payload)
 		}
-		if isFrame {
-			if seq, ok := walRecordSeq(rec); !ok || seq <= lastSeq {
-				continue
-			}
-			keep = wire.AppendFrame(keep, rec)
-			keep = append(keep, '\n')
-			continue
-		}
-		var hdr struct {
-			Seq int64 `json:"seq"`
-		}
-		if json.Unmarshal(rec, &hdr) != nil || hdr.Seq <= lastSeq {
-			continue
-		}
-		keep = append(keep, rec...)
-		keep = append(keep, '\n')
-	}
-	if err := fs.ReplaceFile(w.fsys, w.path, keep, w.syncFile); err != nil {
+		return nil
+	})
+	if err := w.log.Rewrite(keep); err != nil {
 		return fmt.Errorf("enact: wal truncate: %w", err)
 	}
-	f, err := w.fsys.OpenAppend(w.path)
-	if err != nil {
-		// The append handle is gone: the WAL cannot accept another
-		// record without writing to the pre-truncation file. Poison.
-		w.poisoned = fmt.Errorf("enact: wal poisoned: reopen after truncate: %w", err)
-		w.poisonedFlag.Store(true)
-		return fmt.Errorf("enact: wal reopen: %w", err)
-	}
-	w.file.Close()
-	w.file = f
-	w.w = bufio.NewWriter(f)
-	w.sinceSnap.Store(int64(0))
+	w.sinceSnap.Store(0)
 	return nil
 }
 
-// Close waits for in-flight commits, flushes and closes the journal.
-// Further staging fails; Close is idempotent.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.quiesceLocked()
-	w.closed = true
-	w.cond.Broadcast()
-	var err error
-	if w.w != nil {
-		err = w.w.Flush()
-	}
-	if w.file != nil {
-		if cerr := w.file.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// splitLines splits a JSON-lines buffer into its non-empty lines. The
-// final line is included even without a trailing newline (a torn tail
-// parses as garbage and is handled by the caller).
-func splitLines(data []byte) [][]byte {
-	var out [][]byte
-	start := 0
-	for i := 0; i <= len(data); i++ {
-		if i == len(data) || data[i] == '\n' {
-			if i > start {
-				out = append(out, data[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
+// Close waits for in-flight commits and closes the journal. Further
+// staging fails; Close is idempotent.
+func (w *WAL) Close() error { return w.log.Close() }
 
 // ---------------------------------------------------------------------
 // Schema serialization. Dynamic AddActivity records (and snapshot

@@ -6,21 +6,21 @@ import (
 	"sort"
 
 	"github.com/mcc-cmi/cmi/internal/core"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/wire"
 )
 
-// Binary WAL record codec. New records are written as wire frames; the
-// recovery scanner still accepts the legacy JSON-lines records, so an
-// existing journal upgrades in place (mixed files replay fine — see
-// package wire). The walRecord struct keeps its json tags purely for
-// the legacy decode path.
+// Binary WAL record codec: one journal record payload per operation.
 //
 // Payload layout: kind code, seq uvarint (first so TruncateThrough can
-// peek it cheaply), the NP/NA/NC counters, the string fields, the
-// inputs map (sorted for deterministic bytes), the context value, the
+// peek it cheaply), three reserved varints (once the v1 id counters;
+// written as zero, skipped on decode), the string fields, the inputs
+// map (sorted for deterministic bytes), the context value, the
 // rarely-present structured fields (activity var, dependency, schema
-// table) as embedded JSON, the Enable flag and the guard outcomes. New
-// fields append at the end.
+// table) as embedded JSON, the Enable flag, the guard outcomes, and the
+// id section: family root and the ids the operation drew. A record
+// without the id section was written by a v1 WAL and is refused
+// (journal.ErrLegacy). New fields append at the end.
 
 // walKindNames maps kind code (index+1) to kind string; walKindCode is
 // the inverse. Codes are part of the on-disk format — append only.
@@ -146,9 +146,7 @@ func appendWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
 	}
 	dst = append(dst, code)
 	dst = wire.AppendUvarint(dst, uint64(rec.Seq))
-	dst = wire.AppendVarint(dst, int64(rec.NP))
-	dst = wire.AppendVarint(dst, int64(rec.NA))
-	dst = wire.AppendVarint(dst, int64(rec.NC))
+	dst = append(dst, 0, 0, 0) // reserved
 	dst = wire.AppendString(dst, rec.User)
 	dst = wire.AppendString(dst, rec.Proc)
 	dst = wire.AppendString(dst, rec.Act)
@@ -190,8 +188,7 @@ func appendWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
 	for _, g := range rec.G {
 		dst = wire.AppendBool(dst, g)
 	}
-	// v2 trailing section: family root and the ids the operation drew.
-	// Its presence is what marks a record v2 on decode.
+	// The id section: family root and the ids the operation drew.
 	dst = wire.AppendString(dst, rec.Fam)
 	dst = wire.AppendVarint(dst, int64(rec.PID))
 	dst = wire.AppendUvarint(dst, uint64(len(rec.AIDs)))
@@ -214,9 +211,9 @@ func decodeWALRecord(payload []byte, rec *walRecord) error {
 	}
 	rec.Kind = walKindNames[code-1]
 	rec.Seq = int64(d.Uvarint())
-	rec.NP = int(d.Varint())
-	rec.NA = int(d.Varint())
-	rec.NC = int(d.Varint())
+	d.Varint() // reserved
+	d.Varint()
+	d.Varint()
 	rec.User = d.String()
 	rec.Proc = d.String()
 	rec.Act = d.String()
@@ -260,10 +257,11 @@ func decodeWALRecord(payload []byte, rec *walRecord) error {
 			rec.G = append(rec.G, d.Bool())
 		}
 	}
-	// Records written before the v2 id section end here; their absence
-	// (rather than a version byte) marks a record legacy.
-	if d.Err() != nil || d.Len() == 0 {
+	if d.Err() != nil {
 		return d.Err()
+	}
+	if d.Len() == 0 {
+		return fmt.Errorf("enact: v1 wal record without the id section: %w", journal.ErrLegacy)
 	}
 	rec.Fam = d.String()
 	rec.PID = int(d.Varint())
@@ -277,7 +275,6 @@ func decodeWALRecord(payload []byte, rec *walRecord) error {
 			rec.CIDs = append(rec.CIDs, int(d.Varint()))
 		}
 	}
-	rec.V2 = d.Err() == nil
 	return d.Err()
 }
 

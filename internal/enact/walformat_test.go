@@ -1,14 +1,14 @@
 package enact
 
 import (
-	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/mcc-cmi/cmi/internal/core"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/vclock"
-	"github.com/mcc-cmi/cmi/internal/wire"
 )
 
 // freshFixture builds an empty engine sharing wf's schema registry, the
@@ -24,96 +24,60 @@ func freshFixture(wf *walFixture) *fixture {
 	return g
 }
 
-// TestMixedFormatJournalReplay re-encodes one journal's records in every
-// format mix — pure JSON lines (the legacy format), pure binary frames,
-// JSON followed by binary (the in-place upgrade shape: an old journal
-// appended to by a new binary), and strictly interleaved — and asserts
-// each replays to exactly the state of the others.
-func TestMixedFormatJournalReplay(t *testing.T) {
+// TestWALRefusesLegacyFormats: a journal written by a pre-binary CMI
+// (JSON lines, alone or behind binary frames) or holding a v1 record
+// (a frame without the id section) is refused at recovery with
+// journal.ErrLegacy, flagged Damaged by the offline check, and left
+// byte-for-byte untouched — never misread, never replayed as a prefix.
+func TestWALRefusesLegacyFormats(t *testing.T) {
 	wf := newWALFixture(t, -1)
 	workload(t, wf.fixture)
 	if err := wf.eng.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	recs, scan, err := decodeWALRecords(wf.walPath)
-	if err != nil || scan.torn {
-		t.Fatalf("decode journal: torn=%v err=%v", scan.torn, err)
+	current, err := os.ReadFile(wf.walPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(recs) < 4 {
-		t.Fatalf("workload journaled only %d records", len(recs))
+	// A v1 record: the current encoding minus the trailing id section,
+	// which for a record that drew no ids is four zero-length fields.
+	v1, err := appendWALRecord(nil, &walRecord{Seq: 1, Kind: walSetField, Ctx: "ctx-1", Field: "f",
+		Value: &core.WireValue{T: "i", I: 3}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	v1 = v1[:len(v1)-4]
+	jsonLine := []byte(`{"seq":1,"kind":"set_field","ctx":"ctx-1","field":"f","value":{"t":"i","i":3}}` + "\n")
 
-	encode := func(rec *walRecord, asJSON bool) []byte {
-		if asJSON {
-			b, err := json.Marshal(rec)
+	cases := map[string][]byte{
+		"json-lines":         jsonLine,
+		"json-after-frames":  append(append([]byte(nil), current...), jsonLine...),
+		"v1-frame":           journal.AppendRecord(nil, v1),
+		"v1-frame-then-v2":   append(journal.AppendRecord(nil, v1), current...),
+		"frames-then-v1-rec": journal.AppendRecord(append([]byte(nil), current...), v1),
+	}
+	d := t.TempDir()
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(d, name+".wal")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			g := freshFixture(wf)
+			if _, err := g.eng.Recover(filepath.Join(d, "none.snap"), path); !errors.Is(err, journal.ErrLegacy) {
+				t.Fatalf("Recover = %v, want journal.ErrLegacy", err)
+			}
+			if c := CheckWAL(data); !c.Damaged() || c.State != journal.Legacy {
+				t.Fatalf("CheckWAL = %+v, want Damaged and Legacy", c)
+			}
+			after, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return append(b, '\n')
-		}
-		payload, err := appendWALRecord(nil, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(wire.AppendFrame(nil, payload), '\n')
-	}
-
-	variants := map[string]func(i int) bool{
-		"json":           func(int) bool { return true },
-		"binary":         func(int) bool { return false },
-		"jsonThenBinary": func(i int) bool { return i < len(recs)/2 },
-		"interleaved":    func(i int) bool { return i%2 == 0 },
-	}
-	d := t.TempDir()
-	var baseline *fixture
-	for name, asJSON := range variants {
-		var buf []byte
-		for i := range recs {
-			buf = append(buf, encode(&recs[i], asJSON(i))...)
-		}
-		walPath := filepath.Join(d, name+".wal")
-		if err := os.WriteFile(walPath, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		g := freshFixture(wf)
-		stats, err := g.eng.Recover(filepath.Join(d, "none.snap"), walPath)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if stats.Replayed != len(recs) || stats.Failed != 0 || stats.TornTail {
-			t.Fatalf("%s: stats = %+v, want %d replayed", name, stats, len(recs))
-		}
-		mustMatch(t, wf.fixture, g)
-		if baseline == nil {
-			baseline = g
-		} else {
-			mustMatch(t, baseline, g)
-		}
-	}
-
-	// Crash-harness invariant on the upgrade shape: a torn binary frame
-	// after the JSON prefix is discarded exactly like a torn JSON line.
-	var buf []byte
-	for i := range recs[:len(recs)-1] {
-		buf = append(buf, encode(&recs[i], i < len(recs)/2)...)
-	}
-	lastPayload, err := appendWALRecord(nil, &recs[len(recs)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastFrame := wire.AppendFrame(nil, lastPayload)
-	buf = append(buf, lastFrame[:len(lastFrame)-3]...) // torn mid-frame
-	tornPath := filepath.Join(d, "torn.wal")
-	if err := os.WriteFile(tornPath, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g := freshFixture(wf)
-	stats, err := g.eng.Recover(filepath.Join(d, "none.snap"), tornPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.TornTail || stats.Replayed != len(recs)-1 || stats.Failed != 0 {
-		t.Fatalf("torn tail stats = %+v, want %d replayed and TornTail", stats, len(recs)-1)
+			if string(after) != string(data) {
+				t.Fatal("a refused journal was rewritten")
+			}
+		})
 	}
 }
 
@@ -143,7 +107,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.wait(); err != nil {
+		if err := c.Wait(); err != nil {
 			b.Fatal(err)
 		}
 	}

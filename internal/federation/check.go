@@ -1,18 +1,14 @@
 package federation
 
-import (
-	"encoding/json"
-
-	"github.com/mcc-cmi/cmi/internal/wire"
-)
+import "github.com/mcc-cmi/cmi/internal/journal"
 
 // A SpoolCheck is the offline verification report for the federation
 // spool journal, produced by CheckSpool — the federation half of the
 // `cmictl fsck` state-dir verifier.
 type SpoolCheck struct {
-	// Records counts the decodable records (binary frames and legacy
-	// JSON lines) before any damage point.
-	Records int
+	// Report is how the journal ends (journal.Check): records decoded
+	// before any stop point, torn tail, corruption, refused format.
+	journal.Report
 	// Pushes counts the spooled notification records.
 	Pushes int
 	// Dones counts the delivery-confirmation records.
@@ -24,96 +20,39 @@ type SpoolCheck struct {
 	// Compaction drops delivered pairs together, so orphans are
 	// anomalies worth reporting, though not proof of damage.
 	OrphanDones int
-	// BadRecords counts CRC-valid records that failed to decode,
-	// excluding a torn final line.
-	BadRecords int
-	// Torn reports the scan stopped before end of file.
-	Torn bool
-	// Corrupt narrows Torn to mid-journal damage: intact frames exist
-	// past the stop point, or a committed frame failed to decode.
-	Corrupt bool
-	// TornOffset is the byte offset of the record the scan stopped at
-	// (meaningful when Torn is set).
-	TornOffset int64
 }
 
-// Damaged reports whether the journal needs repair: anything beyond
-// the torn tail a crash legitimately leaves behind.
-func (c SpoolCheck) Damaged() bool {
-	return c.Corrupt || c.BadRecords > 0
-}
-
-// CheckSpool verifies the spool journal offline: frame CRCs, record
-// decode and push/done cross-references. It never modifies the data;
-// quarantine decisions belong to the caller (see internal/fsck).
+// CheckSpool verifies the spool journal offline: the journal scan,
+// record decode and push/done cross-references. It never modifies the
+// data; quarantine decisions belong to the caller (see internal/fsck).
+// The spool has no semantic damage of its own, so the embedded
+// Report's Damaged is the verdict.
 func CheckSpool(data []byte) SpoolCheck {
 	var c SpoolCheck
-	sc := wire.NewScanner(data)
 	pushed := make(map[string]bool)
-	done := make(map[string]bool)
-	var orphan []string
-	pendingBad := false
-	for {
-		off := sc.Offset()
-		raw, isFrame, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if pendingBad {
-			c.BadRecords++
-			pendingBad = false
-		}
+	var done []string
+	c.Report = journal.Check(data, func(_ int64, payload []byte) error {
 		var r spoolRecord
-		if isFrame {
-			if decodeSpoolRecord(raw, &r) != nil {
-				c.BadRecords++
-				c.Corrupt = true
-				if !c.Torn {
-					c.Torn, c.TornOffset = true, off
-				}
-				continue
-			}
-		} else if json.Unmarshal(raw, &r) != nil {
-			pendingBad = true
-			continue
+		if err := decodeSpoolRecord(payload, &r); err != nil {
+			return err
 		}
-		c.Records++
-		switch r.Kind {
-		case "push":
-			if r.Push == nil {
-				c.BadRecords++
-				continue
-			}
+		if r.Kind == spoolPush {
 			c.Pushes++
 			pushed[r.Push.Key] = true
-		case "done":
+		} else {
 			c.Dones++
-			done[r.Key] = true
-			if !pushed[r.Key] {
-				orphan = append(orphan, r.Key)
-			}
-		default:
-			c.BadRecords++
+			done = append(done, r.Key)
 		}
-	}
-	if pendingBad {
-		c.Torn = true // unparsable final line: legacy torn tail
-	}
-	for key := range pushed {
-		if !done[key] {
-			c.Pending++
-		}
-	}
-	for _, key := range orphan {
-		if !pushed[key] {
+		return nil
+	})
+	c.Pending = len(pushed)
+	for _, key := range done {
+		if pushed[key] {
+			c.Pending--
+			pushed[key] = false // a repeated done counts once
+		} else if _, ok := pushed[key]; !ok {
 			c.OrphanDones++
 		}
-	}
-	if sc.Torn() {
-		if !c.Torn {
-			c.Torn, c.TornOffset = true, sc.TornOffset()
-		}
-		c.Corrupt = c.Corrupt || sc.CorruptMidJournal()
 	}
 	return c
 }

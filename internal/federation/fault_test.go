@@ -10,6 +10,7 @@ import (
 
 	"github.com/mcc-cmi/cmi/internal/delivery"
 	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
 )
 
 func seedSpool(t *testing.T, path string, n int) {
@@ -150,12 +151,12 @@ func TestCheckSpoolDetectsDamage(t *testing.T) {
 	}
 	corrupted, _ := os.ReadFile(tmp)
 	cc := CheckSpool(corrupted)
-	if !cc.Damaged() || !cc.Corrupt || cc.Pushes != 1 {
+	if !cc.Damaged() || cc.State != journal.Corrupt || cc.Pushes != 1 {
 		t.Fatalf("corrupt spool misreported: %+v", cc)
 	}
 	// Torn tail: reported torn, not damaged.
 	tc := CheckSpool(clean[:len(clean)-4])
-	if tc.Damaged() || !tc.Torn {
+	if tc.Damaged() || tc.State != journal.Torn {
 		t.Fatalf("torn tail misreported: %+v", tc)
 	}
 }

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -16,6 +15,7 @@ import (
 	"github.com/mcc-cmi/cmi/internal/delivery"
 	"github.com/mcc-cmi/cmi/internal/event"
 	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/obs"
 	"github.com/mcc-cmi/cmi/internal/wire"
 )
@@ -76,68 +76,58 @@ func (c *RemoteClient) Push(rn RemoteNotification) (duplicate bool, err error) {
 
 // spoolEntry is one queued remote notification awaiting delivery.
 type spoolEntry struct {
-	Key          string                `json:"key"`
-	Participant  string                `json:"participant"`
-	Notification delivery.Notification `json:"notification"`
-	Spooled      time.Time             `json:"spooled"`
+	Key          string
+	Participant  string
+	Notification delivery.Notification
+	Spooled      time.Time
 }
 
-// spoolRecord is one record of the spool journal: a "push" appends an
-// entry, a "done" marks its key delivered. The struct and its json tags
-// remain for the legacy JSON-lines decode path; new records are written
-// as binary wire frames (spoolPush / spoolDone below).
-type spoolRecord struct {
-	Kind string      `json:"kind"`
-	Push *spoolEntry `json:"push,omitempty"`
-	Key  string      `json:"key,omitempty"`
-}
-
-// Binary spool record kind codes — part of the on-disk format.
+// Spool record kind codes — part of the on-disk format. A push record
+// appends an entry; a done record marks its key delivered.
 const (
 	spoolPush = 1
 	spoolDone = 2
 )
 
-// appendSpoolRecord encodes r as one framed, newline-terminated journal
-// record onto dst.
-func appendSpoolRecord(dst []byte, r *spoolRecord) []byte {
-	payload := wire.GetBuf(256)
-	if r.Kind == "push" {
-		e := r.Push
-		payload = append(payload, spoolPush)
-		payload = wire.AppendString(payload, e.Key)
-		payload = wire.AppendString(payload, e.Participant)
-		payload = delivery.AppendNotificationBinary(payload, &e.Notification)
-		payload = wire.AppendTime(payload, e.Spooled)
-	} else {
-		payload = append(payload, spoolDone)
-		payload = wire.AppendString(payload, r.Key)
-	}
-	dst = wire.AppendFrame(dst, payload)
-	dst = append(dst, '\n')
-	wire.PutBuf(payload)
-	return dst
+// spoolRecord is one decoded spool journal record.
+type spoolRecord struct {
+	Kind byte
+	Push spoolEntry // spoolPush
+	Key  string     // spoolDone
 }
 
-// decodeSpoolRecord decodes one binary record payload into r.
+// appendSpoolPush encodes a push record payload onto dst.
+func appendSpoolPush(dst []byte, e *spoolEntry) []byte {
+	dst = append(dst, spoolPush)
+	dst = wire.AppendString(dst, e.Key)
+	dst = wire.AppendString(dst, e.Participant)
+	dst = delivery.AppendNotificationBinary(dst, &e.Notification)
+	return wire.AppendTime(dst, e.Spooled)
+}
+
+// appendSpoolDone encodes a done record payload onto dst.
+func appendSpoolDone(dst []byte, key string) []byte {
+	return wire.AppendString(append(dst, spoolDone), key)
+}
+
+// decodeSpoolRecord decodes one record payload into r.
 func decodeSpoolRecord(payload []byte, r *spoolRecord) error {
 	d := wire.NewDec(payload)
-	switch d.Byte() {
+	r.Kind = d.Byte()
+	switch r.Kind {
 	case spoolPush:
-		e := &spoolEntry{}
-		e.Key = d.String()
-		e.Participant = d.String()
+		r.Push.Key = d.String()
+		r.Push.Participant = d.String()
 		n, err := delivery.DecodeNotificationBinary(d)
 		if err != nil {
 			return fmt.Errorf("federation: spool record: %w", err)
 		}
-		e.Notification = n
-		e.Spooled = d.Time()
-		r.Kind, r.Push = "push", e
+		r.Push.Notification = n
+		r.Push.Spooled = d.Time()
 	case spoolDone:
-		r.Kind, r.Key = "done", d.String()
+		r.Key = d.String()
 	default:
-		return fmt.Errorf("federation: unknown spool record kind")
+		return fmt.Errorf("federation: unknown spool record kind %d", r.Kind)
 	}
 	return d.Err()
 }
@@ -150,22 +140,21 @@ func decodeSpoolRecord(payload []byte, r *spoolRecord) error {
 const defaultSpoolCompactEvery = 1024
 
 // A Spool is the durable store-and-forward buffer for cross-domain
-// notifications: an append-only journal of binary wire frames (same
-// pattern as the delivery store's per-participant journals); journals
-// written by earlier versions as JSON lines load transparently, so a
-// spool upgrades in place. Entries survive restarts; a torn final
-// record from a crash mid-append is tolerated on load.
+// notifications: a record codec over a journal.Log. Entries survive
+// restarts; a torn final record from a crash mid-append is dropped on
+// load. Appends are not fsynced (the spool's durability is the page
+// cache's); a failed write poisons the spool, which then refuses every
+// later append and done record until the process restarts.
 //
 // Delivered entries do not accumulate: Done drops the entry from memory
 // immediately, and the journal is compacted — rewritten with only the
-// pending entries, tmp+rename like the delivery journal — on open, when
-// the spool fully drains, and whenever defaultSpoolCompactEvery done
-// records have piled up on disk. Depth is an O(1) counter.
+// pending entries (journal.Log.Rewrite) — on open, when the spool fully
+// drains, and whenever defaultSpoolCompactEvery done records have piled
+// up on disk. Depth is an O(1) counter.
 type Spool struct {
-	mu   sync.Mutex
-	f    fs.File
-	fsys fs.FS
-	path string
+	log *journal.Log[struct{}]
+
+	mu sync.Mutex
 	// pending holds only the undelivered entries, in spool order.
 	pending []spoolEntry
 	// done holds the keys journaled as delivered whose push records are
@@ -175,16 +164,11 @@ type Spool struct {
 	doneRecs     int
 	compactEvery int
 	closed       bool
-
-	// hookAppend, when non-nil, is consulted before each journal
-	// append — a test seam for injecting disk failures.
-	hookAppend func(r *spoolRecord) error
 }
 
 // OpenSpool opens (or creates) the spool journal at path, replaying any
-// existing records. If the journal holds delivered (push + done) pairs —
-// or a stray temporary file from a crash mid-compaction — it is
-// compacted before the spool is returned.
+// existing records. If the journal holds delivered (push + done) pairs
+// it is compacted before the spool is returned.
 func OpenSpool(path string) (*Spool, error) { return OpenSpoolFS(path, nil) }
 
 // OpenSpoolFS is OpenSpool on an explicit filesystem (nil means the
@@ -192,8 +176,7 @@ func OpenSpool(path string) (*Spool, error) { return OpenSpoolFS(path, nil) }
 // faults through.
 //
 // A torn final record — the artifact of a crash mid-append — is
-// tolerated and dropped. Mid-journal corruption (a bad record with
-// intact frames after it) fails the open loudly instead: the lost
+// dropped. A corrupt journal fails the open loudly instead: the lost
 // middle could hold push records whose redelivery the caller still
 // owes, so serving the readable subset would silently violate the
 // forwarder's delivery contract. Run `cmictl fsck` on the state dir.
@@ -202,50 +185,29 @@ func OpenSpoolFS(path string, fsys fs.FS) (*Spool, error) {
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("federation: spool: %w", err)
 	}
-	// A crash between writing the compaction tmp and renaming it leaves
-	// the original journal authoritative; discard the orphan.
-	fsys.Remove(path + ".tmp")
-	data, err := fsys.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("federation: spool: %w", err)
-	}
-	f, err := fsys.OpenAppend(path)
-	if err != nil {
-		return nil, fmt.Errorf("federation: spool: %w", err)
-	}
-	s := &Spool{f: f, fsys: fsys, path: path, done: make(map[string]bool), compactEvery: defaultSpoolCompactEvery}
+	s := &Spool{done: make(map[string]bool), compactEvery: defaultSpoolCompactEvery}
 	var entries []spoolEntry
-	sc := wire.NewScanner(data)
-	for {
-		rec, isFrame, ok := sc.Next()
-		if !ok {
-			break
-		}
+	log, rep, err := journal.Open(path, journal.Options[struct{}]{FS: fsys}, func(payload []byte) error {
 		var r spoolRecord
-		if isFrame {
-			if decodeSpoolRecord(rec, &r) != nil {
-				// A checksum-valid frame that fails to decode is damage,
-				// never a torn write.
-				f.Close()
-				return nil, fmt.Errorf("federation: spool %s is corrupt; run cmictl fsck", path)
-			}
-		} else if json.Unmarshal(rec, &r) != nil {
-			continue // torn write from a crash mid-append
+		if err := decodeSpoolRecord(payload, &r); err != nil {
+			return err
 		}
-		switch r.Kind {
-		case "push":
-			if r.Push != nil {
-				entries = append(entries, *r.Push)
-			}
-		case "done":
+		if r.Kind == spoolPush {
+			entries = append(entries, r.Push)
+		} else {
 			s.done[r.Key] = true
 			s.doneRecs++
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("federation: spool: %w", err)
 	}
-	if sc.Torn() && sc.CorruptMidJournal() {
-		f.Close()
-		return nil, fmt.Errorf("federation: spool %s is corrupt mid-journal at offset %d; run cmictl fsck", path, sc.TornOffset())
+	if rep.State == journal.Corrupt {
+		log.Close()
+		return nil, fmt.Errorf("federation: spool: %w", rep.Err(path))
 	}
+	s.log = log
 	for _, e := range entries {
 		if !s.done[e.Key] {
 			s.pending = append(s.pending, e)
@@ -255,53 +217,45 @@ func OpenSpoolFS(path string, fsys fs.FS) (*Spool, error) {
 	// and itself both drop in the rewrite.
 	if len(s.done) > 0 {
 		if err := s.compactLocked(); err != nil {
-			f.Close()
+			log.Close()
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func (s *Spool) append(r spoolRecord) error {
-	if s.hookAppend != nil {
-		if err := s.hookAppend(&r); err != nil {
-			return err
+// DefaultSpoolPath returns the spool journal of a state directory,
+// STATE/spool.journal. A spool.jsonl left there by a pre-binary CMI,
+// with no spool.journal beside it, is refused with an error wrapping
+// journal.ErrLegacy rather than starting an empty spool beside
+// undelivered notifications.
+func DefaultSpoolPath(stateDir string) (string, error) {
+	path := filepath.Join(stateDir, "spool.journal")
+	if _, err := os.Stat(path); os.IsNotExist(err) {
+		old := filepath.Join(stateDir, "spool.jsonl")
+		if _, err := os.Stat(old); err == nil {
+			return "", fmt.Errorf("federation: spool %s was %w; run cmictl fsck %s", old, journal.ErrLegacy, stateDir)
 		}
 	}
-	rec := appendSpoolRecord(wire.GetBuf(256), &r)
-	_, err := s.f.Write(rec)
-	wire.PutBuf(rec)
-	if err != nil {
-		return fmt.Errorf("federation: spool: %w", err)
-	}
-	return nil
+	return path, nil
 }
 
-// compactLocked rewrites the journal with only the pending entries —
-// tmp + fsync + rename + parent-dir fsync (fs.ReplaceFile), crash-safe:
-// until the rename the old journal stays authoritative, and the dir
-// fsync makes the replacement itself durable. Resets the delivered
-// bookkeeping. Called with s.mu held.
+// compactLocked rewrites the journal with only the pending entries and
+// resets the delivered bookkeeping. Called with s.mu held, which keeps
+// new records from staging meanwhile.
 func (s *Spool) compactLocked() error {
 	buf := wire.GetBuf(4096)
+	payload := wire.GetBuf(256)
 	for i := range s.pending {
-		buf = appendSpoolRecord(buf, &spoolRecord{Kind: "push", Push: &s.pending[i]})
+		payload = appendSpoolPush(payload[:0], &s.pending[i])
+		buf = journal.AppendRecord(buf, payload)
 	}
-	err := fs.ReplaceFile(s.fsys, s.path, buf, true)
+	err := s.log.Rewrite(buf)
+	wire.PutBuf(payload)
 	wire.PutBuf(buf)
 	if err != nil {
 		return fmt.Errorf("federation: spool compact: %w", err)
 	}
-	f, err := s.fsys.OpenAppend(s.path)
-	if err != nil {
-		// The rename succeeded but the append handle is gone; fail loudly
-		// rather than appending into the unlinked old inode.
-		s.closed = true
-		s.f.Close()
-		return fmt.Errorf("federation: spool compact: %w", err)
-	}
-	s.f.Close()
-	s.f = f
 	if len(s.pending) == 0 {
 		s.pending = nil // release the drained backlog's backing array
 	}
@@ -310,17 +264,32 @@ func (s *Spool) compactLocked() error {
 	return nil
 }
 
-// Add journals one entry for delivery.
+func errSpoolClosed() error { return fmt.Errorf("federation: spool closed") }
+
+// Add journals one entry for delivery. The entry is pending from the
+// moment it is staged; if its write fails the spool is poisoned and Add
+// reports the error, and the entry stays pending in memory — delivered
+// this run if the remote is reachable, absent after a restart.
 func (s *Spool) Add(e spoolEntry) error {
+	payload := appendSpoolPush(wire.GetBuf(256), &e)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("federation: spool closed")
+		s.mu.Unlock()
+		wire.PutBuf(payload)
+		return errSpoolClosed()
 	}
-	if err := s.append(spoolRecord{Kind: "push", Push: &e}); err != nil {
-		return err
+	t, err := s.log.StageRecord(payload)
+	if err == nil {
+		s.pending = append(s.pending, e)
 	}
-	s.pending = append(s.pending, e)
+	s.mu.Unlock()
+	wire.PutBuf(payload)
+	if err == nil {
+		err = t.Wait()
+	}
+	if err != nil {
+		return fmt.Errorf("federation: spool: %w", err)
+	}
 	return nil
 }
 
@@ -328,21 +297,32 @@ func (s *Spool) Add(e spoolEntry) error {
 // drops it from the pending set. When the spool drains — or enough
 // delivered pairs pile up on disk — the journal is compacted.
 func (s *Spool) Done(key string) error {
+	payload := appendSpoolDone(wire.GetBuf(64), key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("federation: spool closed")
-	}
-	if s.done[key] {
+	if s.closed || s.done[key] {
+		closed := s.closed
+		s.mu.Unlock()
+		wire.PutBuf(payload)
+		if closed {
+			return errSpoolClosed()
+		}
 		return nil
 	}
-	if err := s.append(spoolRecord{Kind: "done", Key: key}); err != nil {
-		return err
+	t, err := s.log.StageRecord(payload)
+	s.mu.Unlock()
+	wire.PutBuf(payload)
+	if err == nil {
+		err = t.Wait()
 	}
+	if err != nil {
+		return fmt.Errorf("federation: spool: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.done[key] = true
 	s.doneRecs++
 	s.dropPending(key)
-	if s.doneRecs >= s.compactEvery || len(s.pending) == 0 {
+	if !s.closed && (s.doneRecs >= s.compactEvery || len(s.pending) == 0) {
 		return s.compactLocked()
 	}
 	return nil
@@ -381,15 +361,20 @@ func (s *Spool) Depth() int {
 	return len(s.pending)
 }
 
+// Poisoned reports whether a failed write has poisoned the spool
+// journal: it refuses every further append until the process restarts.
+func (s *Spool) Poisoned() bool { return s.log.Poisoned() }
+
 // Close closes the journal file.
 func (s *Spool) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	return s.f.Close()
+	s.mu.Unlock()
+	return s.log.Close()
 }
 
 // ForwarderConfig configures a Forwarder.
@@ -436,11 +421,13 @@ type Forwarder struct {
 	duplicate  atomic.Uint64
 	failed     atomic.Uint64
 	doneFailed atomic.Uint64
+	refused    atomic.Uint64
 
 	pushDelivered  *obs.Counter
 	pushDuplicate  *obs.Counter
 	pushFailed     *obs.Counter
 	pushDoneFailed *obs.Counter
+	forwardRefused *obs.Counter
 	redelivery     *obs.Histogram
 
 	nudge chan struct{}
@@ -486,6 +473,16 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 		f.pushDuplicate = reg.Counter("cmi_federation_pushes_total", pushHelp, lbl, obs.L("result", "duplicate"))
 		f.pushFailed = reg.Counter("cmi_federation_pushes_total", pushHelp, lbl, obs.L("result", "failed"))
 		f.pushDoneFailed = reg.Counter("cmi_federation_pushes_total", pushHelp, lbl, obs.L("result", "done-failed"))
+		f.forwardRefused = reg.Counter("cmi_federation_forward_refused_total",
+			"Detected notifications the spool refused to journal (never forwarded).", lbl)
+		reg.GaugeFunc("cmi_federation_spool_poisoned",
+			"1 when a failed write has poisoned the federation spool (all further forwards refused).",
+			func() float64 {
+				if f.spool.Poisoned() {
+					return 1
+				}
+				return 0
+			}, lbl)
 		f.redelivery = reg.Histogram("cmi_federation_redelivery_seconds",
 			"Time from spooling a remote notification to its delivery.",
 			redeliveryBuckets, lbl)
@@ -519,15 +516,27 @@ func (f *Forwarder) Forward(participant string, n delivery.Notification) error {
 
 // Hook adapts the forwarder to a delivery.DetectionHook: every detected
 // awareness event is forwarded to each named participant of the remote
-// domain.
+// domain. A notification the spool refuses is counted and logged — the
+// hook has no caller to return the error to.
 func (f *Forwarder) Hook(remoteParticipants ...string) delivery.DetectionHook {
 	return func(schema string, users []string, ev event.Event) {
 		n := delivery.NotificationFromEvent(ev)
 		for _, p := range remoteParticipants {
-			f.Forward(p, n)
+			if err := f.Forward(p, n); err != nil {
+				f.refused.Add(1)
+				f.forwardRefused.Inc()
+				log.Printf("cmi: federation: forwarding %s to %s refused: %v", schema, p, err)
+			}
 		}
 	}
 }
+
+// Refused reports how many notifications the hook could not spool.
+func (f *Forwarder) Refused() uint64 { return f.refused.Load() }
+
+// Poisoned reports whether a failed write has poisoned the spool: every
+// later forward is refused until the process restarts and reopens it.
+func (f *Forwarder) Poisoned() bool { return f.spool.Poisoned() }
 
 // Depth returns how many notifications await delivery.
 func (f *Forwarder) Depth() int { return f.spool.Depth() }

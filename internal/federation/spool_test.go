@@ -12,6 +12,10 @@ import (
 	"time"
 
 	"github.com/mcc-cmi/cmi/internal/delivery"
+	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
+	"github.com/mcc-cmi/cmi/internal/system"
+	"github.com/mcc-cmi/cmi/internal/vclock"
 )
 
 func spoolTestEntry(i int) spoolEntry {
@@ -205,7 +209,7 @@ func TestSpoolCrashMidCompaction(t *testing.T) {
 	// trailing garbage) that never got renamed over the journal.
 	tmp := path + ".tmp"
 	e := spoolTestEntry(3)
-	frame := appendSpoolRecord(nil, &spoolRecord{Kind: "push", Push: &e})
+	frame := journal.AppendRecord(nil, appendSpoolPush(nil, &e))
 	if err := os.WriteFile(tmp, append(frame, "torn"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -224,59 +228,16 @@ func TestSpoolCrashMidCompaction(t *testing.T) {
 	}
 }
 
-// TestSpoolLegacyJSONCompaction: compacting a journal written as JSON
-// lines rewrites it in the binary frame format and the result replays to
-// the same pending set.
-func TestSpoolLegacyJSONCompaction(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spool.jsonl")
-	var legacy []byte
-	for i := 0; i < 3; i++ {
-		e := spoolTestEntry(i)
-		b, err := json.Marshal(spoolRecord{Kind: "push", Push: &e})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy = append(legacy, append(b, '\n')...)
-	}
-	b, err := json.Marshal(spoolRecord{Kind: "done", Key: "k1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy = append(legacy, append(b, '\n')...)
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	sp, err := OpenSpool(path) // compacts: k1's pair drops, k0/k2 re-encode as frames
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sp2, err := OpenSpool(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp2.Close()
-	pending := sp2.Pending()
-	if len(pending) != 2 || pending[0].Key != "k0" || pending[1].Key != "k2" {
-		t.Fatalf("pending after legacy compaction = %+v, want k0,k2", pending)
-	}
-	if !pending[1].Spooled.Equal(spoolTestEntry(2).Spooled) {
-		t.Fatalf("spooled time not preserved through legacy compaction: %v", pending[1].Spooled)
-	}
-}
-
 // TestForwarderDoneJournalFailureStopsSweep: when the remote accepts a
-// push but the done record cannot be journaled, the sweep stops (instead
-// of hammering every pending entry against a failing disk), the failure
-// is counted, and a later sweep redelivers the entry — which the remote
-// deduplicates by key.
+// push but the done record cannot be journaled (an injected short
+// write), the spool is poisoned: the sweep stops instead of hammering
+// the failing disk, the failure is counted, forwards are refused and
+// counted, and /api/healthz reports 503. Reopening the spool — a
+// restart — redelivers every pending entry, the one already pushed
+// deduplicated by the remote's key check, none lost.
 func TestForwarderDoneJournalFailureStopsSweep(t *testing.T) {
 	var mu sync.Mutex
-	pushes := 0
-	seen := map[string]bool{}
+	seen := map[string]int{}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var rn RemoteNotification
 		if err := json.NewDecoder(r.Body).Decode(&rn); err != nil {
@@ -284,41 +245,63 @@ func TestForwarderDoneJournalFailureStopsSweep(t *testing.T) {
 			return
 		}
 		mu.Lock()
-		pushes++
-		dup := seen[rn.Key]
-		seen[rn.Key] = true
+		seen[rn.Key]++
+		dup := seen[rn.Key] > 1
 		mu.Unlock()
 		json.NewEncoder(w).Encode(PushResponse{Duplicate: dup})
 	}))
 	defer srv.Close()
+	distinct := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen)
+	}
 
+	sys, err := system.New(system.Config{Clock: vclock.NewVirtual(), StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Start(); err != nil {
+		t.Fatal(err)
+	}
+	health := NewServer(sys).Handler()
+	healthz := func() (int, system.Health) {
+		rec := httptest.NewRecorder()
+		health.ServeHTTP(rec, httptest.NewRequest("GET", "/api/healthz", nil))
+		var h system.Health
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Code, h
+	}
+
+	path := filepath.Join(t.TempDir(), "spool.journal")
+	seed, err := OpenSpool(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := seed.Add(spoolTestEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The forwarder's first spool write is the done record of k0.
 	fwd, err := NewForwarder(ForwarderConfig{
 		Client:    NewRemoteClient(srv.URL, srv.Client()),
-		SpoolPath: filepath.Join(t.TempDir(), "spool.journal"),
+		SpoolPath: path,
 		Interval:  10 * time.Millisecond,
+		FS:        fs.NewFault(nil, fs.FaultConfig{ShortWriteAt: 1}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fwd.Close()
-
-	// Fail every done append until released.
-	failing := true
-	fwd.spool.mu.Lock()
-	fwd.spool.hookAppend = func(r *spoolRecord) error {
-		if r.Kind == "done" && failing {
-			return fmt.Errorf("injected: disk full")
-		}
-		return nil
-	}
-	fwd.spool.mu.Unlock()
-
-	if err := fwd.Forward("mirror", delivery.Notification{Description: "one"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fwd.Forward("mirror", delivery.Notification{Description: "two"}); err != nil {
-		t.Fatal(err)
-	}
+	sys.AttachSpool(fwd.Poisoned)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for fwd.DoneFailures() == 0 {
@@ -327,38 +310,54 @@ func TestForwarderDoneJournalFailureStopsSweep(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	mu.Lock()
-	firstBatch := pushes
-	mu.Unlock()
-	// The sweep stopped at the first done failure: entry two was not
-	// pushed while the journal is failing (pushes may exceed 1 because
-	// the periodic sweep retries entry one, but only entry one).
-	mu.Lock()
-	onlyOne := len(seen) == 1
-	mu.Unlock()
-	if !onlyOne {
-		t.Fatalf("sweep kept going past a done-journal failure: %d pushes of %d distinct keys", firstBatch, len(seen))
+	if !fwd.Poisoned() {
+		t.Fatal("a failed spool write did not poison the spool")
+	}
+	// The sweep stopped at the first done failure: entry k1 was never
+	// pushed (the periodic sweep may retry k0, but only k0).
+	if n := distinct(); n != 1 {
+		t.Fatalf("sweep kept going past a done-journal failure: %d distinct keys pushed", n)
 	}
 	if fwd.Depth() != 2 {
-		t.Fatalf("depth = %d while done journaling fails, want 2", fwd.Depth())
+		t.Fatalf("depth = %d while the spool is poisoned, want 2", fwd.Depth())
+	}
+	if code, h := healthz(); code != http.StatusServiceUnavailable || !h.SpoolPoisoned {
+		t.Fatalf("healthz with a poisoned spool = %d %+v, want 503 and spoolPoisoned", code, h)
+	}
+	// A poisoned spool refuses new notifications; the hook counts them.
+	fwd.Hook("mirror")("S", nil, sys.NewExternalEvent("test.event", "test", nil))
+	if fwd.Refused() != 1 {
+		t.Fatalf("Refused = %d after a forward into a poisoned spool, want 1", fwd.Refused())
 	}
 
-	// Heal the journal: the next sweep redelivers entry one (remote
-	// reports duplicate) and delivers entry two; the spool drains.
-	fwd.spool.mu.Lock()
-	failing = false
-	fwd.spool.mu.Unlock()
-	for fwd.Depth() != 0 {
+	// Restart: reopen the spool on a healthy disk. The torn done record
+	// is cut off, both entries are pending again, and they drain.
+	if err := fwd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fwd2, err := NewForwarder(ForwarderConfig{
+		Client:    NewRemoteClient(srv.URL, srv.Client()),
+		SpoolPath: path,
+		Interval:  10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd2.Close()
+	sys.AttachSpool(fwd2.Poisoned)
+	for fwd2.Depth() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("spool did not drain after heal; depth = %d", fwd.Depth())
+			t.Fatalf("spool did not drain after reopen; depth = %d", fwd2.Depth())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	_, dup, _ := fwd.Stats()
-	if dup == 0 {
+	if n := distinct(); n != 2 {
+		t.Fatalf("remote holds %d distinct keys after the drain, want both entries", n)
+	}
+	if _, dup, _ := fwd2.Stats(); dup == 0 {
 		t.Fatal("redelivered entry was not deduplicated by the remote")
 	}
-	if fwd.DoneFailures() == 0 {
-		t.Fatal("done failures not counted")
+	if code, h := healthz(); code != http.StatusOK || h.SpoolPoisoned {
+		t.Fatalf("healthz after reopen = %d %+v, want 200", code, h)
 	}
 }

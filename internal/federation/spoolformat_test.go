@@ -1,110 +1,49 @@
 package federation
 
 import (
-	"encoding/json"
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/mcc-cmi/cmi/internal/delivery"
+	"github.com/mcc-cmi/cmi/internal/journal"
 )
 
-// TestSpoolMixedFormatReplay: a spool journal written by an earlier
-// version as JSON lines, then appended to in the binary frame format (the
-// in-place upgrade shape), replays to the same pending set as either
-// pure format — including a torn final record.
-func TestSpoolMixedFormatReplay(t *testing.T) {
-	entry := func(i int) spoolEntry {
-		return spoolEntry{
-			Key:         fmt.Sprintf("k%d", i),
-			Participant: "mirror",
-			Notification: delivery.Notification{
-				Schema:      "SevereCase",
-				Description: fmt.Sprintf("n%d", i),
-				Priority:    i,
-				Params:      map[string]any{"count": int64(i), "region": "north"},
-			},
-			Spooled: time.Unix(1700000000+int64(i), 0).UTC(),
-		}
+// TestSpoolRefusesLegacyFormats: a spool journal written by a
+// pre-binary CMI (JSON lines, alone or after binary frames) is refused
+// at open with journal.ErrLegacy, flagged Damaged by the offline check
+// and never rewritten — a pending push is never misread or dropped.
+func TestSpoolRefusesLegacyFormats(t *testing.T) {
+	jsonLines := []byte(`{"kind":"push","push":{"key":"k0","participant":"mirror","notification":{"id":0,"time":"0001-01-01T00:00:00Z","schema":"S","description":"n0"},"spooled":"2023-11-14T22:13:20Z"}}` + "\n")
+	e := spoolTestEntry(1)
+	frames := journal.AppendRecord(nil, appendSpoolPush(nil, &e))
+	cases := map[string][]byte{
+		"json-lines":       jsonLines,
+		"frames-then-json": append(append([]byte(nil), frames...), jsonLines...),
+		"torn-json-line":   jsonLines[:30],
 	}
-
-	// Legacy prefix: three JSON-lines records, one of them a done.
-	path := filepath.Join(t.TempDir(), "spool.jsonl")
-	var legacy []byte
-	for i := 0; i < 3; i++ {
-		e := entry(i)
-		b, err := json.Marshal(spoolRecord{Kind: "push", Push: &e})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy = append(legacy, append(b, '\n')...)
-	}
-	b, err := json.Marshal(spoolRecord{Kind: "done", Key: "k1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy = append(legacy, append(b, '\n')...)
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen and append through the new binary path.
-	sp, err := OpenSpool(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Add(entry(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Add(entry(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Done("k3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Torn binary tail: the prefix of a frame, as a crash mid-append.
-	whole := appendSpoolRecord(nil, &spoolRecord{Kind: "done", Key: "k4"})
-	fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fh.Write(whole[:len(whole)-4]); err != nil {
-		t.Fatal(err)
-	}
-	fh.Close()
-
-	sp2, err := OpenSpool(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp2.Close()
-	pending := sp2.Pending()
-	wantKeys := []string{"k0", "k2", "k4"}
-	if len(pending) != len(wantKeys) {
-		t.Fatalf("pending = %d entries, want %v", len(pending), wantKeys)
-	}
-	for i, want := range wantKeys {
-		e := pending[i]
-		if e.Key != want {
-			t.Fatalf("pending[%d].Key = %q, want %q", i, e.Key, want)
-		}
-		if e.Participant != "mirror" || e.Notification.Schema != "SevereCase" {
-			t.Fatalf("pending[%d] lost fields: %+v", i, e)
-		}
-	}
-	// Binary-written entries round-trip typed params and timestamps.
-	last := pending[2]
-	if got := last.Notification.Params["count"]; got != int64(4) {
-		t.Fatalf("count param = %v (%T), want int64(4)", got, got)
-	}
-	if !last.Spooled.Equal(entry(4).Spooled) {
-		t.Fatalf("spooled time = %v, want %v", last.Spooled, entry(4).Spooled)
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "spool.journal")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenSpool(path); !errors.Is(err, journal.ErrLegacy) {
+				t.Fatalf("OpenSpool = %v, want journal.ErrLegacy", err)
+			}
+			if c := CheckSpool(data); !c.Damaged() || c.State != journal.Legacy {
+				t.Fatalf("CheckSpool = %+v, want Damaged and Legacy", c)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != string(data) {
+				t.Fatal("a refused spool was rewritten")
+			}
+		})
 	}
 }
 

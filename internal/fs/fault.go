@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"syscall"
-
-	"github.com/mcc-cmi/cmi/internal/wire"
 )
 
 // ErrInjected marks every error produced by a Fault filesystem, so
@@ -255,18 +253,32 @@ func (ff *Fault) MkdirAll(path string, perm os.FileMode) error {
 // SyncDir fsyncs the directory.
 func (ff *Fault) SyncDir(dir string) error { return ff.inner.SyncDir(dir) }
 
+// frameLocator lists the (offset, length) of every committed record
+// payload of a journal image, in order, stopping at the first damaged
+// frame. The frame format and its scan belong to package journal,
+// which installs the locator when it is linked in (SetFrameLocator).
+var frameLocator func(data []byte) [][2]int
+
+// SetFrameLocator installs the journal frame locator CorruptFrame aims
+// with. Package journal calls it from init, the way image formats
+// register their decoders.
+func SetFrameLocator(fn func(data []byte) [][2]int) { frameLocator = fn }
+
 // CorruptFrame flips one byte inside the payload of a committed binary
 // frame of the journal at path and returns the flipped offset: idx
 // selects the frame (0-based), idx < 0 picks the middle one. It is the
 // bit-rot primitive behind the corrupt@N fault and the chaos oracle's
 // corrupt-journal-recover scenario; flipping any payload byte breaks
-// that frame's CRC, so a scanner is guaranteed to stop there.
+// that frame's CRC, so a scan is guaranteed to stop there.
 func CorruptFrame(path string, idx int) (int64, error) {
+	if frameLocator == nil {
+		return 0, fmt.Errorf("fs: no journal frame locator installed (import internal/journal)")
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	spans := wire.FrameSpans(data)
+	spans := frameLocator(data)
 	if len(spans) == 0 {
 		return 0, fmt.Errorf("fs: %s: no committed frames to corrupt", path)
 	}
@@ -277,10 +289,10 @@ func CorruptFrame(path string, idx int) (int64, error) {
 		idx = len(spans) - 1
 	}
 	sp := spans[idx]
-	if sp.PayloadLen == 0 {
+	if sp[1] == 0 {
 		return 0, fmt.Errorf("fs: %s: frame %d has empty payload", path, idx)
 	}
-	off := sp.PayloadOff + int64(sp.PayloadLen)/2
+	off := int64(sp[0] + sp[1]/2)
 	data[off] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return 0, err

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
-
-	"github.com/mcc-cmi/cmi/internal/wire"
 )
 
 func TestReplaceFile(t *testing.T) {
@@ -137,75 +135,6 @@ func TestFaultShortWrite(t *testing.T) {
 	n, err := f.Write([]byte("abcdefgh"))
 	if n != 4 || !errors.Is(err, ErrInjected) {
 		t.Fatalf("short write: n=%d err=%v", n, err)
-	}
-}
-
-func TestCorruptFrameBreaksCRC(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "j")
-	var buf []byte
-	for _, p := range []string{"first", "second", "third"} {
-		buf = wire.AppendFrame(buf, []byte(p))
-		buf = append(buf, '\n')
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CorruptFrame(path, 1); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	sc := wire.NewScanner(data)
-	var n int
-	for {
-		if _, _, ok := sc.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 1 || !sc.Torn() {
-		t.Fatalf("scan after corruption: %d records, torn=%v", n, sc.Torn())
-	}
-	if !sc.CorruptMidJournal() {
-		t.Fatal("mid-journal corruption not diagnosed")
-	}
-}
-
-func TestCorruptMidJournalFalseOnTornTail(t *testing.T) {
-	var buf []byte
-	buf = wire.AppendFrame(buf, []byte("whole"))
-	buf = append(buf, '\n')
-	whole := wire.AppendFrame(nil, []byte("partial-frame-payload"))
-	buf = append(buf, whole[:len(whole)-5]...) // crash mid-append
-	sc := wire.NewScanner(buf)
-	for {
-		if _, _, ok := sc.Next(); !ok {
-			break
-		}
-	}
-	if !sc.Torn() {
-		t.Fatal("tail not torn")
-	}
-	if sc.CorruptMidJournal() {
-		t.Fatal("torn tail misdiagnosed as mid-journal corruption")
-	}
-}
-
-func TestFrameSpans(t *testing.T) {
-	var buf []byte
-	buf = append(buf, []byte(`{"legacy":"line"}`+"\n")...)
-	buf = wire.AppendFrame(buf, []byte("alpha"))
-	buf = append(buf, '\n')
-	buf = wire.AppendFrame(buf, []byte("beta"))
-	spans := wire.FrameSpans(buf)
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans", len(spans))
-	}
-	if got := string(buf[spans[0].PayloadOff : spans[0].PayloadOff+int64(spans[0].PayloadLen)]); got != "alpha" {
-		t.Fatalf("span 0 payload %q", got)
-	}
-	if got := string(buf[spans[1].PayloadOff : spans[1].PayloadOff+int64(spans[1].PayloadLen)]); got != "beta" {
-		t.Fatalf("span 1 payload %q", got)
 	}
 }
 

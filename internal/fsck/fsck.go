@@ -2,9 +2,11 @@
 // `cmictl fsck`: it walks every durable artifact a CMI domain keeps —
 // persisted ADL specs, the enactment snapshot and WAL, the
 // per-participant delivery journals, the federation spool — and
-// re-verifies each one the way its owning engine would load it: frame
-// CRCs, record decodes, sequence/id high-water monotonicity, torn-tail
-// versus mid-journal damage classification.
+// re-verifies each one the way its owning engine would load it: the
+// journals through the same journal.Check their open runs (frame CRCs,
+// record decodes, the torn / corrupt / refused-format classification),
+// plus each log's own checks (sequence/id high-water monotonicity,
+// orphan acks and dones).
 //
 // fsck never repairs silently. With Options.Quarantine it moves the
 // unreadable suffix of a damaged journal to a `.quarantine` sibling and
@@ -27,6 +29,7 @@ import (
 	"github.com/mcc-cmi/cmi/internal/enact"
 	"github.com/mcc-cmi/cmi/internal/federation"
 	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
 )
 
 // Options configures a Check run.
@@ -57,16 +60,20 @@ type FileReport struct {
 	// Kind classifies the artifact (KindSpec, KindWAL, ...).
 	Kind string
 	// Damaged reports the file needs attention: mid-journal corruption,
-	// undecodable committed records, sequence regressions, an unreadable
+	// a refused (pre-binary) format, sequence regressions, an unreadable
 	// snapshot or spec. A torn tail alone is NOT damage — it is the
 	// artifact a tolerated crash leaves behind.
 	Damaged bool
 	// Torn reports the scan stopped before end of file.
 	Torn bool
-	// Corrupt reports mid-journal (non-tail) damage: intact frames
-	// exist after the bad record, so this is bit-rot inside committed
-	// history, not a crashed append.
+	// Corrupt reports mid-journal (non-tail) damage: committed history
+	// follows the bad record, or a checksum-valid record failed to
+	// decode — bit-rot inside committed history, not a crashed append.
 	Corrupt bool
+	// Legacy reports a journal written by a pre-binary CMI (or a v1
+	// enactment WAL record, or the spool's pre-binary file name): every
+	// open refuses it.
+	Legacy bool
 	// TornOffset is the byte offset the scan stopped at (meaningful
 	// when Torn is set) — the truncation point Quarantine uses.
 	TornOffset int64
@@ -124,6 +131,10 @@ func Check(dir string, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fsck: %w", err)
 	}
+	names := map[string]bool{}
+	for _, e := range entries {
+		names[e.Name()] = !e.IsDir()
+	}
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
@@ -133,13 +144,15 @@ func Check(dir string, opts Options) (*Report, error) {
 		case strings.HasSuffix(name, ".tmp"):
 			r.add(strayTmp(fsys, dir, name, opts.Quarantine))
 		case name == "enact.wal":
-			r.add(checkWAL(fsys, dir, name, opts.Quarantine, r))
+			r.add(checkLog(fsys, dir, name, KindWAL, opts.Quarantine, r.verifyWAL))
 		case name == "enact.snap":
 			r.add(checkSnapshot(fsys, dir, name, r))
-		case name == "spool.journal" || name == "spool.jsonl":
-			r.add(checkSpool(fsys, dir, name, opts.Quarantine))
+		case name == "spool.journal":
+			r.add(checkLog(fsys, dir, name, KindSpool, opts.Quarantine, verifySpool))
+		case name == "spool.jsonl" && !names["spool.journal"]:
+			r.add(legacySpoolName(fsys, dir, name))
 		case strings.HasSuffix(name, ".jsonl"):
-			r.add(checkJournal(fsys, dir, name, opts.Quarantine))
+			r.add(checkLog(fsys, dir, name, KindJournal, opts.Quarantine, verifyDelivery))
 		}
 	}
 
@@ -223,68 +236,46 @@ func checkSnapshot(fsys fs.FS, dir, rel string, r *Report) FileReport {
 	return f
 }
 
-func checkWAL(fsys fs.FS, dir, rel string, quarantine bool, r *Report) FileReport {
-	f := FileReport{Path: rel, Kind: KindWAL}
-	path := filepath.Join(dir, rel)
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		f.Damaged = true
-		f.Detail = fmt.Sprintf("unreadable: %v", err)
-		return f
-	}
+// A verifier runs one log's offline check over a journal image: the
+// journal report, the log's own damage (problem, empty when none) and a
+// one-line summary of what the journal holds.
+type verifier func(data []byte) (rep journal.Report, problem, summary string)
+
+func (r *Report) verifyWAL(data []byte) (journal.Report, string, string) {
 	c := enact.CheckWAL(data)
-	f.Records, f.Torn, f.Corrupt, f.TornOffset = c.Records, c.Torn, c.Corrupt, c.TornOffset
-	f.Damaged = c.Damaged()
 	r.WALSeq = c.LastSeq
-	switch {
-	case c.Corrupt:
-		f.Detail = fmt.Sprintf("corrupt mid-journal at offset %d: %d verified record(s) before it, committed history after it unreachable", c.TornOffset, c.Records)
-	case c.SeqRegressions > 0:
-		f.Detail = fmt.Sprintf("%d sequence regression(s): record order contradicts the commit order", c.SeqRegressions)
-	case c.BadRecords > 0:
-		f.Detail = fmt.Sprintf("%d undecodable committed record(s)", c.BadRecords)
-	case c.Torn:
-		f.Detail = fmt.Sprintf("torn tail at offset %d (a crashed append; replay ignores it): %d record(s), seq %d", c.TornOffset, c.Records, c.LastSeq)
-	default:
-		f.Detail = fmt.Sprintf("%d record(s), seq %d", c.Records, c.LastSeq)
+	problem := ""
+	if c.SeqRegressions > 0 {
+		problem = fmt.Sprintf("%d sequence regression(s): record order contradicts the commit order", c.SeqRegressions)
 	}
-	maybeQuarantine(fsys, path, data, &f, quarantine)
-	return f
+	return c.Report, problem, fmt.Sprintf("%d record(s), seq %d", c.Records, c.LastSeq)
 }
 
-func checkJournal(fsys fs.FS, dir, rel string, quarantine bool) FileReport {
-	f := FileReport{Path: rel, Kind: KindJournal}
-	path := filepath.Join(dir, rel)
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		f.Damaged = true
-		f.Detail = fmt.Sprintf("unreadable: %v", err)
-		return f
-	}
+func verifyDelivery(data []byte) (journal.Report, string, string) {
 	c := delivery.CheckJournal(data)
-	f.Records, f.Torn, f.Corrupt, f.TornOffset = c.Records, c.Torn, c.Corrupt, c.TornOffset
-	f.Damaged = c.Damaged()
-	switch {
-	case c.Corrupt:
-		f.Detail = fmt.Sprintf("corrupt mid-journal at offset %d: %d verified record(s) before it", c.TornOffset, c.Records)
-	case c.IDRegressions > 0:
-		f.Detail = fmt.Sprintf("%d notification-id regression(s)", c.IDRegressions)
-	case c.BadRecords > 0:
-		f.Detail = fmt.Sprintf("%d undecodable committed record(s)", c.BadRecords)
-	case c.Torn:
-		f.Detail = fmt.Sprintf("torn tail at offset %d (a crashed append; load ignores it): %d record(s), %d undelivered", c.TornOffset, c.Records, c.Notifs-c.Acks)
-	default:
-		f.Detail = fmt.Sprintf("%d record(s), %d undelivered, next id %d", c.Records, c.Notifs-c.Acks, c.NextID)
-		if c.OrphanAcks > 0 {
-			f.Detail += fmt.Sprintf("; %d orphan ack(s)", c.OrphanAcks)
-		}
+	problem := ""
+	if c.IDRegressions > 0 {
+		problem = fmt.Sprintf("%d notification-id regression(s)", c.IDRegressions)
 	}
-	maybeQuarantine(fsys, path, data, &f, quarantine)
-	return f
+	summary := fmt.Sprintf("%d record(s), %d undelivered, next id %d", c.Records, c.Notifs-c.Acks, c.NextID)
+	if c.OrphanAcks > 0 {
+		summary += fmt.Sprintf("; %d orphan ack(s)", c.OrphanAcks)
+	}
+	return c.Report, problem, summary
 }
 
-func checkSpool(fsys fs.FS, dir, rel string, quarantine bool) FileReport {
-	f := FileReport{Path: rel, Kind: KindSpool}
+func verifySpool(data []byte) (journal.Report, string, string) {
+	c := federation.CheckSpool(data)
+	summary := fmt.Sprintf("%d record(s), %d pending", c.Records, c.Pending)
+	if c.OrphanDones > 0 {
+		summary += fmt.Sprintf("; %d orphan done(s)", c.OrphanDones)
+	}
+	return c.Report, "", summary
+}
+
+// checkLog verifies one journal file with its log's verifier.
+func checkLog(fsys fs.FS, dir, rel, kind string, quarantine bool, verify verifier) FileReport {
+	f := FileReport{Path: rel, Kind: kind}
 	path := filepath.Join(dir, rel)
 	data, err := fsys.ReadFile(path)
 	if err != nil {
@@ -292,23 +283,38 @@ func checkSpool(fsys fs.FS, dir, rel string, quarantine bool) FileReport {
 		f.Detail = fmt.Sprintf("unreadable: %v", err)
 		return f
 	}
-	c := federation.CheckSpool(data)
-	f.Records, f.Torn, f.Corrupt, f.TornOffset = c.Records, c.Torn, c.Corrupt, c.TornOffset
-	f.Damaged = c.Damaged()
+	rep, problem, summary := verify(data)
+	f.Records, f.TornOffset = rep.Records, rep.Offset
+	f.Torn = rep.State != journal.Clean
+	f.Corrupt = rep.State == journal.Corrupt
+	f.Legacy = rep.State == journal.Legacy
+	f.Damaged = rep.Damaged() || problem != ""
 	switch {
-	case c.Corrupt:
-		f.Detail = fmt.Sprintf("corrupt mid-journal at offset %d: %d verified record(s) before it; the forwarder refuses to open it", c.TornOffset, c.Records)
-	case c.BadRecords > 0:
-		f.Detail = fmt.Sprintf("%d undecodable committed record(s)", c.BadRecords)
-	case c.Torn:
-		f.Detail = fmt.Sprintf("torn tail at offset %d (a crashed append; load ignores it): %d record(s), %d pending", c.TornOffset, c.Records, c.Pending)
+	case f.Legacy:
+		f.Detail = fmt.Sprintf("%s at offset %d: every open refuses it; drain it with the release that wrote it, or -quarantine moves it aside", journal.ErrLegacy, rep.Offset)
+	case f.Corrupt:
+		f.Detail = fmt.Sprintf("corrupt mid-journal at offset %d: %d verified record(s) before it, committed history after it unreachable", rep.Offset, rep.Records)
+	case problem != "":
+		f.Detail = problem
+	case f.Torn:
+		f.Detail = fmt.Sprintf("torn tail at offset %d (a crashed append; the next open cuts it off): %s", rep.Offset, summary)
 	default:
-		f.Detail = fmt.Sprintf("%d record(s), %d pending", c.Records, c.Pending)
-		if c.OrphanDones > 0 {
-			f.Detail += fmt.Sprintf("; %d orphan done(s)", c.OrphanDones)
-		}
+		f.Detail = summary
 	}
 	maybeQuarantine(fsys, path, data, &f, quarantine)
+	return f
+}
+
+// legacySpoolName reports a spool under its pre-binary name with no
+// spool.journal beside it: cmid refuses to forward rather than guess.
+func legacySpoolName(fsys fs.FS, dir, rel string) FileReport {
+	f := checkLog(fsys, dir, rel, KindSpool, false, verifySpool)
+	hint := "its records are current: rename it to spool.journal"
+	if f.Legacy {
+		hint = "its records are JSON lines: drain it with the release that wrote it"
+	}
+	f.Damaged, f.Legacy = true, true
+	f.Detail = fmt.Sprintf("spool under its pre-binary name, %s; cmid refuses to forward until then", hint)
 	return f
 }
 

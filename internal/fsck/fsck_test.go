@@ -1,13 +1,16 @@
 package fsck
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/mcc-cmi/cmi/internal/delivery"
 	"github.com/mcc-cmi/cmi/internal/federation"
 	"github.com/mcc-cmi/cmi/internal/fs"
+	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/system"
 	"github.com/mcc-cmi/cmi/internal/vclock"
 )
@@ -313,4 +316,100 @@ func TestQuarantineRepairsJournalsAndDomainReboots(t *testing.T) {
 		t.Fatalf("reopen repaired spool: %v", err)
 	}
 	fwd.Close()
+}
+
+// TestLegacyStateRefused: every artifact shape a pre-binary CMI left
+// behind — a JSON-lines WAL, delivery journal or spool, a v1 WAL record,
+// a spool under its old name — is refused by its open with
+// journal.ErrLegacy and reported Damaged (and Legacy) by fsck, and
+// neither the refused boot nor fsck rewrites a byte of the directory.
+func TestLegacyStateRefused(t *testing.T) {
+	jsonLine := []byte(`{"kind":"notif","notif":{"id":1,"schema":"Done"}}` + "\n")
+	// A v1 set_field record: kind, seq, the three reserved varints, then
+	// empty fields and absent options, and no id section.
+	v1 := append([]byte{13, 0xE8, 0x07}, make([]byte, 18)...)
+	appendTo := func(rel string, b []byte) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			f, err := os.OpenFile(filepath.Join(dir, rel), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bootSystem := func(dir string) error {
+		s, err := system.New(system.Config{Clock: vclock.NewVirtual(), StateDir: dir})
+		if err == nil {
+			s.Close()
+		}
+		return err
+	}
+	openSpool := func(dir string) error {
+		path, err := federation.DefaultSpoolPath(dir)
+		if err != nil {
+			return err
+		}
+		sp, err := federation.OpenSpool(path)
+		if err == nil {
+			sp.Close()
+		}
+		return err
+	}
+	cases := []struct {
+		name   string
+		file   string
+		damage func(t *testing.T, dir string)
+		open   func(dir string) error
+	}{
+		{"wal-json-line", "enact.wal", appendTo("enact.wal", jsonLine), bootSystem},
+		{"wal-v1-record", "enact.wal", appendTo("enact.wal", journal.AppendRecord(nil, v1)), bootSystem},
+		{"delivery-json-line", "w1.jsonl", appendTo("w1.jsonl", jsonLine), bootSystem},
+		{"spool-json-line", "spool.journal", appendTo("spool.journal", jsonLine), openSpool},
+		{"spool-old-name", "spool.jsonl", func(t *testing.T, dir string) {
+			if err := os.Rename(filepath.Join(dir, "spool.journal"), filepath.Join(dir, "spool.jsonl")); err != nil {
+				t.Fatal(err)
+			}
+		}, openSpool},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := buildStateDir(t)
+			c.damage(t, dir)
+			before := snapshotDir(t, dir)
+			if err := c.open(dir); !errors.Is(err, journal.ErrLegacy) {
+				t.Fatalf("open = %v, want journal.ErrLegacy", err)
+			}
+			r, err := Check(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f := findFile(t, r, c.file); !f.Damaged || !f.Legacy || r.Clean() {
+				t.Fatalf("fsck report for %s = %+v", c.file, f)
+			}
+			if after := snapshotDir(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatal("the refused open or fsck rewrote the state directory")
+			}
+		})
+	}
+}
+
+// snapshotDir maps every file under dir to its contents.
+func snapshotDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

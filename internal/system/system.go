@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/mcc-cmi/cmi/internal/adl"
 	"github.com/mcc-cmi/cmi/internal/awareness"
@@ -108,6 +109,8 @@ type System struct {
 
 	metrics *obs.Registry
 	fsys    fs.FS
+	// spoolPoisoned is the attached federation spool's health probe.
+	spoolPoisoned atomic.Pointer[func() bool]
 
 	stateDir   string
 	ownsState  bool
@@ -621,7 +624,15 @@ type Health struct {
 	// enactment WAL: the state served is the replayed prefix, read-only.
 	// Run `cmictl fsck` on the state directory.
 	WALCorrupt bool `json:"walCorrupt,omitempty"`
+	// SpoolPoisoned reports the attached federation spool (see
+	// AttachSpool) refuses all further forwards after a failed write.
+	SpoolPoisoned bool `json:"spoolPoisoned,omitempty"`
 }
+
+// AttachSpool makes Health report the federation spool's poisoning:
+// poisoned is the forwarder's Poisoned method. A later call replaces
+// the earlier one (a forwarder reopened on the same spool).
+func (s *System) AttachSpool(poisoned func() bool) { s.spoolPoisoned.Store(&poisoned) }
 
 // Health reports whether the system's moving parts are live and its
 // durable logs intact.
@@ -641,8 +652,12 @@ func (s *System) Health() Health {
 	if w := s.enact.WAL(); w != nil {
 		h.WALPoisoned = w.Poisoned()
 	}
+	if p := s.spoolPoisoned.Load(); p != nil {
+		h.SpoolPoisoned = (*p)()
+	}
 	h.Healthy = h.Started && h.StoreOpen && (h.EngineRunning || !hasSchemas) &&
-		h.PoisonedQueues == 0 && h.CorruptJournals == 0 && !h.WALPoisoned && !h.WALCorrupt
+		h.PoisonedQueues == 0 && h.CorruptJournals == 0 && !h.WALPoisoned && !h.WALCorrupt &&
+		!h.SpoolPoisoned
 	return h
 }
 

@@ -1,28 +1,26 @@
 // Package wire is the compact binary record framing shared by the
-// CMI durable logs: the delivery group-commit journal, the enactment
-// write-ahead log and the federation spool. JSON stays at the public
-// HTTP edge; on disk each record is a length-prefixed, checksummed
-// binary frame:
+// CMI durable logs: the delivery queues, the enactment write-ahead log,
+// the federation spool and the ingest benchmark's detection sink. JSON
+// stays at the public HTTP edge; on disk each record is a
+// length-prefixed, checksummed binary frame:
 //
 //	+--------+------------------+-----------+----------------+
 //	| format | payload length   | CRC32-C   | payload        |
 //	| 1 byte | uvarint          | 4 B, LE   | length bytes   |
 //	+--------+------------------+-----------+----------------+
 //
-// The format byte (0x81 for version 1) has the high bit set, so a
-// frame can never begin like a JSON-lines record ('{' is 0x7B): a
-// Scanner distinguishes the two per record, which lets legacy
-// JSON-lines journals — and mixed files from an in-place upgrade —
-// replay transparently alongside binary frames. The CRC covers the
-// payload; a frame whose checksum or length does not hold marks a torn
-// tail, exactly like an unparsable trailing JSON line.
+// The format byte (0x81 for version 1) has the high bit set, so a frame
+// never begins like a JSON record ('{' is 0x7B) and a journal written
+// by a pre-binary CMI is recognized, and refused, on its first byte.
+// The CRC covers the payload. Walking a journal frame by frame and
+// deciding how it ends — cleanly, at a torn tail, at corruption —
+// belongs to package journal; this package only builds and parses one
+// frame at a time and supplies the field primitives record codecs use.
 //
 // Versioning rules: a reader accepts format bytes it knows (currently
-// only 0x81) and treats anything else with the high bit set as a torn
-// tail, so a downgrade never misparses newer frames as JSON. New
-// fields are appended to a record's payload; decoders tolerate a
-// shorter (older) payload by leaving the trailing fields zero, and a
-// payload layout change takes a new format byte.
+// only 0x81). New fields are appended to a record's payload; decoders
+// tolerate a shorter (older) payload by leaving the trailing fields
+// zero, and a payload layout change takes a new format byte.
 package wire
 
 import (
@@ -53,10 +51,33 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// ParseFrame decodes the frame at the start of b, returning its payload
+// (a view into b) and the frame's total size in bytes. ok is false when
+// b does not begin with a complete version-1 frame whose checksum
+// holds: a truncated frame, a damaged one, or any other first byte.
+func ParseFrame(b []byte) (payload []byte, size int, ok bool) {
+	if len(b) == 0 || b[0] != Format1 {
+		return nil, 0, false
+	}
+	n, ln := binary.Uvarint(b[1:])
+	if ln <= 0 {
+		return nil, 0, false
+	}
+	head := 1 + ln
+	end := uint64(head) + 4 + n
+	if end > uint64(len(b)) {
+		return nil, 0, false
+	}
+	payload = b[head+4 : end]
+	if Checksum(payload) != binary.LittleEndian.Uint32(b[head:]) {
+		return nil, 0, false
+	}
+	return payload, int(end), true
+}
+
 // FramePayload returns the payload view of a frame built by
-// AppendFrame (no checksum verification — the frame was just built or
-// already scanned). It returns nil if frame is not a well-formed
-// version-1 frame.
+// AppendFrame (no checksum verification — the frame was just built).
+// It returns nil if frame is not a well-formed version-1 frame.
 func FramePayload(frame []byte) []byte {
 	if len(frame) == 0 || frame[0] != Format1 {
 		return nil
@@ -89,168 +110,6 @@ func ResealFrame(frame []byte) {
 		return
 	}
 	binary.LittleEndian.PutUint32(frame[off:], Checksum(frame[off+4:uint64(off)+4+n]))
-}
-
-// A Scanner iterates the records of a journal file that may hold
-// binary frames, legacy JSON lines, or both (an in-place upgrade
-// appends frames after the JSON history). Each Next call auto-detects
-// the next record's encoding by its first byte. Scanning stops at the
-// first torn record: a frame whose length or checksum does not hold.
-// A trailing JSON line without a newline is still returned — legacy
-// loaders attempt to parse it and treat failure as the torn tail.
-type Scanner struct {
-	data []byte
-	off  int
-	torn bool
-}
-
-// NewScanner returns a scanner over the full journal contents.
-func NewScanner(data []byte) *Scanner { return &Scanner{data: data} }
-
-// Next returns the next record: its payload bytes (a frame's payload,
-// or a JSON line without its newline) and whether it was a binary
-// frame. ok is false at end of input or at a torn frame (see Torn).
-func (s *Scanner) Next() (rec []byte, isFrame, ok bool) {
-	for s.off < len(s.data) && s.data[s.off] == '\n' {
-		s.off++
-	}
-	if s.off >= len(s.data) {
-		return nil, false, false
-	}
-	b := s.data[s.off]
-	if b&0x80 != 0 {
-		if b != Format1 {
-			s.torn = true // an unknown (newer) format byte
-			return nil, false, false
-		}
-		n, ln := binary.Uvarint(s.data[s.off+1:])
-		if ln <= 0 {
-			s.torn = true
-			return nil, false, false
-		}
-		head := s.off + 1 + ln
-		end := uint64(head) + 4 + n
-		if end > uint64(len(s.data)) {
-			s.torn = true // truncated frame: torn tail
-			return nil, false, false
-		}
-		sum := binary.LittleEndian.Uint32(s.data[head:])
-		payload := s.data[head+4 : end]
-		if Checksum(payload) != sum {
-			s.torn = true
-			return nil, false, false
-		}
-		s.off = int(end)
-		return payload, true, true
-	}
-	start := s.off
-	for s.off < len(s.data) && s.data[s.off] != '\n' {
-		s.off++
-	}
-	return s.data[start:s.off], false, true
-}
-
-// Torn reports that scanning stopped at a corrupt or truncated binary
-// frame rather than clean end of input.
-func (s *Scanner) Torn() bool { return s.torn }
-
-// Offset returns the byte offset of the next record to scan (separator
-// bytes skipped). Read before each Next call it yields that record's
-// exact start position — what a verifier reports, and where a repair
-// would truncate.
-func (s *Scanner) Offset() int64 {
-	off := s.off
-	for off < len(s.data) && s.data[off] == '\n' {
-		off++
-	}
-	return int64(off)
-}
-
-// TornOffset returns the byte offset of the record at which scanning
-// stopped. It is meaningful only when Torn reports true.
-func (s *Scanner) TornOffset() int64 { return int64(s.off) }
-
-// CorruptMidJournal distinguishes the two ways a journal can tear. A
-// torn TAIL — a partial frame at end of file, the normal artifact of a
-// crash mid-append — has nothing decodable after the tear point. MID-
-// JOURNAL corruption (bit-rot or an overwrite inside committed history)
-// leaves intact frames after the bad one. It reports true when at least
-// one well-formed, checksum-valid frame exists past the tear, which is
-// the signal recovery must surface loudly instead of silently serving
-// the prefix.
-func (s *Scanner) CorruptMidJournal() bool {
-	if !s.torn {
-		return false
-	}
-	for i := s.off + 1; i < len(s.data); i++ {
-		if s.data[i] != Format1 {
-			continue
-		}
-		if _, _, _, ok := frameAt(s.data, i); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// frameAt tries to parse a checksum-valid version-1 frame starting at
-// off, returning the payload bounds and total end offset.
-func frameAt(data []byte, off int) (payloadOff, payloadLen, end int, ok bool) {
-	if off >= len(data) || data[off] != Format1 {
-		return 0, 0, 0, false
-	}
-	n, ln := binary.Uvarint(data[off+1:])
-	if ln <= 0 {
-		return 0, 0, 0, false
-	}
-	head := off + 1 + ln
-	frameEnd := uint64(head) + 4 + n
-	if frameEnd > uint64(len(data)) {
-		return 0, 0, 0, false
-	}
-	sum := binary.LittleEndian.Uint32(data[head:])
-	if Checksum(data[head+4:frameEnd]) != sum {
-		return 0, 0, 0, false
-	}
-	return head + 4, int(n), int(frameEnd), true
-}
-
-// FrameSpan locates one committed frame inside a journal buffer.
-type FrameSpan struct {
-	Off        int64 // offset of the format byte
-	PayloadOff int64 // offset of the first payload byte
-	PayloadLen int   // payload length in bytes
-}
-
-// FrameSpans enumerates the well-formed binary frames of a journal in
-// order, skipping legacy JSON lines, and stops at the first torn or
-// corrupt record — the same walk a Scanner performs, but yielding byte
-// positions instead of payloads. Fault-injection helpers and the fsck
-// verifier use it to aim at (or report on) committed bytes.
-func FrameSpans(data []byte) []FrameSpan {
-	var spans []FrameSpan
-	off := 0
-	for off < len(data) {
-		for off < len(data) && data[off] == '\n' {
-			off++
-		}
-		if off >= len(data) {
-			break
-		}
-		if data[off]&0x80 != 0 {
-			pOff, pLen, end, ok := frameAt(data, off)
-			if !ok {
-				break
-			}
-			spans = append(spans, FrameSpan{Off: int64(off), PayloadOff: int64(pOff), PayloadLen: pLen})
-			off = end
-			continue
-		}
-		for off < len(data) && data[off] != '\n' {
-			off++
-		}
-	}
-	return spans
 }
 
 // ---------------------------------------------------------------------

@@ -14,83 +14,40 @@ func TestFrameRoundTrip(t *testing.T) {
 	if frame[0] != Format1 {
 		t.Fatalf("format byte = %#x, want %#x", frame[0], Format1)
 	}
-	sc := NewScanner(frame)
-	rec, isFrame, ok := sc.Next()
-	if !ok || !isFrame {
-		t.Fatalf("Next = (%q, %v, %v), want frame", rec, isFrame, ok)
+	rec, size, ok := ParseFrame(append(frame, '\n'))
+	if !ok || size != len(frame) {
+		t.Fatalf("ParseFrame = (%q, %d, %v), want the %d-byte frame", rec, size, ok, len(frame))
 	}
 	if !bytes.Equal(rec, payload) {
 		t.Fatalf("payload = %q, want %q", rec, payload)
 	}
-	if _, _, ok := sc.Next(); ok || sc.Torn() {
-		t.Fatalf("expected clean end of input, torn=%v", sc.Torn())
+	if _, _, ok := ParseFrame([]byte(`{"kind":"notif"}`)); ok {
+		t.Fatal("a JSON record parsed as a frame")
 	}
 }
 
-func TestScannerMixedFormats(t *testing.T) {
-	var buf []byte
-	buf = append(buf, `{"kind":"legacy","n":1}`...)
-	buf = append(buf, '\n')
-	buf = AppendFrame(buf, []byte("binary-1"))
-	buf = append(buf, '\n') // commit groups separate records with newlines
-	buf = append(buf, `{"kind":"legacy","n":2}`...)
-	buf = append(buf, '\n')
-	buf = AppendFrame(buf, []byte("binary-2"))
-
-	sc := NewScanner(buf)
-	var recs []string
-	var frames []bool
-	for {
-		rec, isFrame, ok := sc.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, string(rec))
-		frames = append(frames, isFrame)
-	}
-	want := []string{`{"kind":"legacy","n":1}`, "binary-1", `{"kind":"legacy","n":2}`, "binary-2"}
-	if len(recs) != len(want) {
-		t.Fatalf("got %d records %q, want %d", len(recs), recs, len(want))
-	}
-	for i := range want {
-		if recs[i] != want[i] {
-			t.Errorf("record %d = %q, want %q", i, recs[i], want[i])
-		}
-		if frames[i] != (i%2 == 1) {
-			t.Errorf("record %d isFrame = %v", i, frames[i])
-		}
-	}
-	if sc.Torn() {
-		t.Fatal("clean mixed file reported torn")
-	}
-}
-
+// TestScannerTornFrame: a frame cut short — what a crash mid-append
+// leaves — never parses, so the journal scan built on ParseFrame stops
+// there.
 func TestScannerTornFrame(t *testing.T) {
 	full := AppendFrame(nil, []byte("first"))
-	// Truncated second frame: header promises more bytes than exist.
 	torn := AppendFrame(nil, []byte("second-record-payload"))
 	data := append(append([]byte{}, full...), torn[:len(torn)-5]...)
-	sc := NewScanner(data)
-	if _, _, ok := sc.Next(); !ok {
-		t.Fatal("first frame should scan")
+	_, size, ok := ParseFrame(data)
+	if !ok || size != len(full) {
+		t.Fatal("first frame should parse")
 	}
-	if _, _, ok := sc.Next(); ok {
-		t.Fatal("truncated frame should not scan")
-	}
-	if !sc.Torn() {
-		t.Fatal("truncated frame should report torn")
+	if _, _, ok := ParseFrame(data[size:]); ok {
+		t.Fatal("truncated frame should not parse")
 	}
 }
 
+// TestScannerCorruptCRC: a flipped payload byte fails the checksum.
 func TestScannerCorruptCRC(t *testing.T) {
 	frame := AppendFrame(nil, []byte("payload"))
 	frame[len(frame)-1] ^= 0xFF
-	sc := NewScanner(frame)
-	if _, _, ok := sc.Next(); ok {
-		t.Fatal("corrupt frame should not scan")
-	}
-	if !sc.Torn() {
-		t.Fatal("corrupt frame should report torn")
+	if _, _, ok := ParseFrame(frame); ok {
+		t.Fatal("corrupt frame should not parse")
 	}
 }
 
@@ -104,13 +61,13 @@ func TestResealFrame(t *testing.T) {
 	}
 	copy(p[3:], "BBBBBBBB")
 	// Before resealing the checksum no longer matches.
-	if _, _, ok := NewScanner(frame).Next(); ok {
-		t.Fatal("patched frame scanned before reseal")
+	if _, _, ok := ParseFrame(frame); ok {
+		t.Fatal("patched frame parsed before reseal")
 	}
 	ResealFrame(frame)
-	rec, _, ok := NewScanner(frame).Next()
+	rec, _, ok := ParseFrame(frame)
 	if !ok {
-		t.Fatal("resealed frame should scan")
+		t.Fatal("resealed frame should parse")
 	}
 	if !bytes.Contains(rec, []byte("BBBBBBBB")) {
 		t.Fatalf("resealed payload = %q", rec)

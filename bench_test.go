@@ -482,10 +482,12 @@ func BenchmarkDeliveryQueue(b *testing.B) {
 }
 
 // benchmarkDeliveryFanout measures one EnqueueFanout call per iteration
-// at the given fan-out width: the notification body is marshaled once
-// and journaled through each queue's commit group.
-func benchmarkDeliveryFanout(b *testing.B, width int) {
-	store, err := delivery.NewStore(b.TempDir())
+// at the given fan-out width: the notification body is encoded once and
+// every queue's record joins one commit group of the store's journal.
+// The Sync arms fsync every commit, so their cost per call stays near
+// one fsync at any width.
+func benchmarkDeliveryFanout(b *testing.B, width int, sync bool) {
+	store, err := delivery.NewStoreWith(b.TempDir(), delivery.StoreOptions{Sync: sync})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -508,9 +510,12 @@ func benchmarkDeliveryFanout(b *testing.B, width int) {
 	}
 }
 
-func BenchmarkDeliveryFanout1(b *testing.B) { benchmarkDeliveryFanout(b, 1) }
-func BenchmarkDeliveryFanout4(b *testing.B) { benchmarkDeliveryFanout(b, 4) }
-func BenchmarkDeliveryFanout8(b *testing.B) { benchmarkDeliveryFanout(b, 8) }
+func BenchmarkDeliveryFanout1(b *testing.B)      { benchmarkDeliveryFanout(b, 1, false) }
+func BenchmarkDeliveryFanout4(b *testing.B)      { benchmarkDeliveryFanout(b, 4, false) }
+func BenchmarkDeliveryFanout8(b *testing.B)      { benchmarkDeliveryFanout(b, 8, false) }
+func BenchmarkDeliveryFanoutSync1(b *testing.B)  { benchmarkDeliveryFanout(b, 1, true) }
+func BenchmarkDeliveryFanoutSync8(b *testing.B)  { benchmarkDeliveryFanout(b, 8, true) }
+func BenchmarkDeliveryFanoutSync64(b *testing.B) { benchmarkDeliveryFanout(b, 64, true) }
 
 // BenchmarkWfMSEngine measures the WfMS substrate's own token flow: one
 // two-node instance per iteration.

@@ -291,11 +291,7 @@ func RunFigure1() (*Figure1Result, error) {
 		}
 		return res.Rows[i].Label < res.Rows[j].Label
 	})
-	parts, err := sys.Store().Participants()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
+	for _, p := range sys.Store().Participants() {
 		hist, err := sys.Store().History(p)
 		if err != nil {
 			return nil, err

@@ -322,11 +322,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 
 	// CMI: notifications are exact (schema + request instance).
 	coveredCMI := map[groundTruthKey]bool{}
-	parts, err := sys.Store().Participants()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
+	for _, p := range sys.Store().Participants() {
 		hist, err := sys.Store().History(p)
 		if err != nil {
 			return nil, err

@@ -98,70 +98,23 @@ func (a *Agent) OnDetection(h DetectionHook) {
 // Wait blocks until all follow-on hooks launched so far have returned.
 func (a *Agent) Wait() { a.hookWG.Wait() }
 
-// Consume implements event.Consumer for TypeOutput events; other event
-// types are ignored. Resolution failures are counted, not fatal: an
-// awareness event whose scoped role has already disappeared is dropped,
-// which is the correct semantics — the role's lifetime bounds the
-// delivery interval (Section 1).
-func (a *Agent) Consume(ev event.Event) {
-	if ev.Type != event.TypeOutput {
-		return
-	}
-	users, err := a.resolve(ev)
-	if err != nil {
-		a.fail(err)
-		return
-	}
-	if len(users) == 0 {
-		a.fail(fmt.Errorf("delivery: role %q resolved to no participants", ev.String(event.PDeliveryRole)))
-		return
-	}
-	n := NotificationFromEvent(ev)
-	// One fan-out call: the notification body is marshaled once and each
-	// participant's queue journals it through its own commit group, so
-	// concurrent detections coalesce their journal I/O.
-	ns, _, err := a.store.EnqueueFanout(users, "", n)
-	queued := 0
-	for _, qn := range ns {
-		if qn.ID != 0 {
-			queued++
-		}
-	}
-	a.mu.Lock()
-	a.delivered += uint64(queued)
-	if err != nil {
-		a.undeliverable += uint64(len(users) - queued)
-		a.lastErr = err
-	}
-	a.mu.Unlock()
-	a.mu.Lock()
-	hooks := append([]DetectionHook(nil), a.hooks...)
-	a.mu.Unlock()
-	for _, h := range hooks {
-		h := h
-		a.hookWG.Add(1)
-		go func() {
-			defer a.hookWG.Done()
-			h(n.Schema, users, ev)
-		}()
-	}
-}
+// Consume implements event.Consumer: it delivers one event as a batch
+// of one (see ConsumeBatch).
+func (a *Agent) Consume(ev event.Event) { a.ConsumeBatch([]event.Event{ev}) }
 
 // ConsumeBatch implements event.BatchConsumer: a detection shard hands
 // over its drained batch in one call, and the agent fans the whole
-// batch out through Store.EnqueueFanoutBatch — one lock acquisition and
-// one commit-group join per touched queue for the entire batch, instead
-// of one per composite event. Outcome accounting and follow-on hooks
-// match per-event Consume exactly.
+// batch out through Store.EnqueueFanoutBatch — one encode per composite
+// event and one journal commit for the entire batch. Only TypeOutput
+// events are delivered; other event types are ignored. Resolution
+// failures are counted, not fatal: an awareness event whose scoped role
+// has already disappeared is dropped, which is the correct semantics —
+// the role's lifetime bounds the delivery interval (Section 1).
 func (a *Agent) ConsumeBatch(evs []event.Event) {
 	a.mu.Lock()
 	bs := a.batchSize
 	a.mu.Unlock()
 	bs.Observe(float64(len(evs)))
-	if len(evs) == 1 {
-		a.Consume(evs[0])
-		return
-	}
 	items := make([]FanoutItem, 0, len(evs))
 	batchEvs := make([]event.Event, 0, len(evs))
 	for _, ev := range evs {
@@ -200,7 +153,6 @@ func (a *Agent) ConsumeBatch(evs []event.Event) {
 	for i := range items {
 		it, ev := items[i], batchEvs[i]
 		for _, h := range hooks {
-			h := h
 			a.hookWG.Add(1)
 			go func() {
 				defer a.hookWG.Done()

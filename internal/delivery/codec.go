@@ -1,7 +1,6 @@
 package delivery
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,26 +9,25 @@ import (
 )
 
 // Binary journal record codec: one journal record payload per notif,
-// ack, bare key or id high-water mark. Record payloads:
+// ack, bare key or id high-water mark. Every payload starts with its
+// kind and the participant whose queue it belongs to:
 //
-//	notif:  kind=1, id (8 B LE — fixed width so the fan-out splice can
-//	        patch it in place), key, then the notification body
-//	ack:    kind=2, id varint
-//	key:    kind=3, key string
-//	next:   kind=4, next-id varint
+//	notif:  kind=1, participant, id varint, then the record tail: key
+//	        and the notification body
+//	ack:    kind=2, participant, id varint
+//	key:    kind=3, participant, key string
+//	next:   kind=4, participant, next-id varint
 //
 // The notification body is time, schema, description, priority varint,
-// acked bool, and the params map. New fields append after params.
+// acked bool, and the params map. New fields append after params. A
+// fan-out encodes a notif tail once and prefixes each recipient's
+// kind, participant and id to it.
 const (
 	recNotif = 1
 	recAck   = 2
 	recKey   = 3
 	recNext  = 4
 )
-
-// notifIDOffset is the byte offset of the fixed-width id inside a notif
-// record payload.
-const notifIDOffset = 1
 
 // Param value tags. SanitizeParams emits nil, string, bool, int64 and
 // []string; float64 appears in maps that round-tripped through JSON,
@@ -161,46 +159,58 @@ func DecodeNotificationBinary(d *wire.Dec) (Notification, error) {
 	return n, d.Err()
 }
 
-// appendRecordNotif encodes a notif journal-record payload. The id is
-// fixed-width at notifIDOffset so EnqueueFanout can patch a shared
-// frame per queue and reseal it.
-func appendRecordNotif(dst []byte, key string, n *Notification) []byte {
-	dst = append(dst, recNotif)
-	dst = wire.AppendUint64LE(dst, uint64(n.ID))
+// appendRecordHead starts a journal-record payload: its kind and its
+// participant.
+func appendRecordHead(dst []byte, kind byte, participant string) []byte {
+	dst = append(dst, kind)
+	return wire.AppendString(dst, participant)
+}
+
+// appendNotifTail encodes the part of a notif record every recipient of
+// a fan-out shares: the idempotency key and the notification body.
+func appendNotifTail(dst []byte, key string, n *Notification) []byte {
 	dst = wire.AppendString(dst, key)
 	return appendNotifBody(dst, n)
 }
 
-func appendRecordAck(dst []byte, id int64) []byte {
-	dst = append(dst, recAck)
+// appendNotifRecord encodes one recipient's notif record payload around
+// a tail built by appendNotifTail.
+func appendNotifRecord(dst []byte, participant string, id int64, tail []byte) []byte {
+	dst = appendRecordHead(dst, recNotif, participant)
+	dst = wire.AppendVarint(dst, id)
+	return append(dst, tail...)
+}
+
+// appendRecordNotif encodes a whole notif record payload.
+func appendRecordNotif(dst []byte, participant, key string, n *Notification) []byte {
+	dst = appendRecordHead(dst, recNotif, participant)
+	dst = wire.AppendVarint(dst, n.ID)
+	return appendNotifTail(dst, key, n)
+}
+
+func appendRecordAck(dst []byte, participant string, id int64) []byte {
+	dst = appendRecordHead(dst, recAck, participant)
 	return wire.AppendVarint(dst, id)
 }
 
-func appendRecordKey(dst []byte, key string) []byte {
-	dst = append(dst, recKey)
+func appendRecordKey(dst []byte, participant, key string) []byte {
+	dst = appendRecordHead(dst, recKey, participant)
 	return wire.AppendString(dst, key)
 }
 
-func appendRecordNext(dst []byte, next int64) []byte {
-	dst = append(dst, recNext)
+func appendRecordNext(dst []byte, participant string, next int64) []byte {
+	dst = appendRecordHead(dst, recNext, participant)
 	return wire.AppendVarint(dst, next)
-}
-
-// patchNotifID rewrites the fixed-width id slot of a framed notif
-// record in place and reseals the frame checksum.
-func patchNotifID(frame []byte, id int64) {
-	p := wire.FramePayload(frame)
-	binary.LittleEndian.PutUint64(p[notifIDOffset:], uint64(id))
-	wire.ResealFrame(frame)
 }
 
 // decodeRecord decodes one journal-record payload into r.
 func decodeRecord(payload []byte, r *record) error {
 	d := wire.NewDec(payload)
 	r.Kind = d.Byte()
+	r.Participant = d.String()
 	switch r.Kind {
 	case recNotif:
-		r.Notif.ID = int64(d.Uint64LE())
+		r.Notif.ID = d.Varint()
 		r.Key = d.String()
 		decodeNotifBody(d, &r.Notif)
 	case recAck:
@@ -215,9 +225,9 @@ func decodeRecord(payload []byte, r *record) error {
 	return d.Err()
 }
 
-// notifRecordSize estimates the encoded payload size for pool sizing.
-func notifRecordSize(key string, n *Notification) int {
-	sz := 32 + len(key) + len(n.Schema) + len(n.Description)
+// notifTailSize estimates the encoded tail size for pool sizing.
+func notifTailSize(key string, n *Notification) int {
+	sz := 24 + len(key) + len(n.Schema) + len(n.Description)
 	for k, v := range n.Params {
 		sz += len(k) + 16
 		switch v := v.(type) {

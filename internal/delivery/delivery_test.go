@@ -1,9 +1,12 @@
 package delivery
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -110,11 +113,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if n3.ID <= n2.ID {
 		t.Fatalf("id reuse after restart: %d <= %d", n3.ID, n2.ID)
 	}
-	parts, err := s2.Participants()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 2 || parts[0] != "dr.okoye" || parts[1] != "dr.reed" {
+	if parts := s2.Participants(); len(parts) != 2 || parts[0] != "dr.okoye" || parts[1] != "dr.reed" {
 		t.Fatalf("participants = %v", parts)
 	}
 }
@@ -133,12 +132,12 @@ func TestTornWriteTolerated(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "u.jsonl")
+	path := filepath.Join(dir, JournalName)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := journal.AppendRecord(nil, appendRecordNotif(nil, "", &Notification{ID: 2, Schema: "S"}))
+	torn := journal.AppendRecord(nil, appendRecordNotif(nil, "u", "", &Notification{ID: 2, Schema: "S"}))
 	if _, err := f.Write(torn[:len(torn)-4]); err != nil {
 		t.Fatal(err)
 	}
@@ -202,19 +201,46 @@ func TestStoreClosedErrors(t *testing.T) {
 	}
 }
 
+// TestParticipantIDsEscaped: participant ids are data inside the one
+// journal, never file names, so ids that would be hostile as paths
+// round-trip across a reopen unchanged and keep their queues apart.
 func TestParticipantIDsEscaped(t *testing.T) {
-	s := newStore(t)
-	weird := "dr/../reed@x y"
-	if _, err := s.Enqueue(weird, Notification{Schema: "S"}); err != nil {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.Pending(weird)
-	if err != nil || len(p) != 1 {
-		t.Fatalf("pending = %v, %v", p, err)
+	weird := []string{"dr/../reed@x y", "..", "a%2Fb", "100% sure", "/abs/path", "dr reed"}
+	for i, p := range weird {
+		if _, err := s.Enqueue(p, Notification{Schema: "S", Description: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	parts, err := s.Participants()
-	if err != nil || len(parts) != 1 || parts[0] != weird {
-		t.Fatalf("participants = %v, %v", parts, err)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for i, p := range weird {
+		pending, err := s2.Pending(p)
+		if err != nil || len(pending) != 1 || pending[0].Description != fmt.Sprint(i) {
+			t.Fatalf("pending(%q) after reopen = %v, %v", p, pending, err)
+		}
+	}
+	want := append([]string(nil), weird...)
+	sort.Strings(want)
+	if parts := s2.Participants(); !reflect.DeepEqual(parts, want) {
+		t.Fatalf("participants = %q, want %q", parts, want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != JournalName {
+		t.Fatalf("store dir holds %v, want only %s", entries, JournalName)
 	}
 }
 

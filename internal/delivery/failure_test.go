@@ -25,22 +25,20 @@ func TestNewStoreOnFilePathFails(t *testing.T) {
 	}
 }
 
+// TestQueueOpenFailureSurfaces: the store's journal is opened once, by
+// NewStore, so a directory the journal cannot be created in fails there.
 func TestQueueOpenFailureSurfaces(t *testing.T) {
 	if os.Getuid() == 0 {
 		t.Skip("running as root: directory permissions are not enforced")
 	}
 	dir := t.TempDir()
-	s, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	if err := os.Chmod(dir, 0o555); err != nil {
 		t.Fatal(err)
 	}
 	defer os.Chmod(dir, 0o755)
-	if _, err := s.Enqueue("u", Notification{Schema: "S"}); err == nil {
-		t.Fatal("enqueue into read-only store directory succeeded")
+	if s, err := NewStore(dir); err == nil {
+		s.Close()
+		t.Fatal("store opened in a read-only directory")
 	}
 }
 
@@ -82,7 +80,7 @@ func TestJournalWithForeignRecords(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "u.jsonl")
+	path := filepath.Join(dir, JournalName)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package delivery
 
 import (
 	"fmt"
-	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,14 +9,15 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/mcc-cmi/cmi/internal/fs"
 	"github.com/mcc-cmi/cmi/internal/journal"
 	"github.com/mcc-cmi/cmi/internal/obs"
 )
 
-// TestFanoutWireEquivalence: the id-patching fast path of EnqueueFanout
+// TestFanoutWireEquivalence: the encode-once fast path of EnqueueFanout
 // must journal records that decode identically to a plain per-user
-// enqueue — the guarantee that fanned-out journals and per-user
-// journals replay through the same loader to the same state.
+// enqueue — the guarantee that fanned-out records and per-user records
+// replay through the same loader to the same state.
 func TestFanoutWireEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir)
@@ -53,21 +53,34 @@ func TestFanoutWireEquivalence(t *testing.T) {
 	if err := ref.Close(); err != nil {
 		t.Fatal(err)
 	}
-	readRecord := func(dir, u string) record {
+	// Both stores keep every queue in their one journal; index its
+	// records by participant.
+	readRecords := func(dir string) map[string]record {
 		t.Helper()
-		data, err := os.ReadFile(filepath.Join(dir, url.PathEscape(u)+".jsonl"))
+		data, err := os.ReadFile(filepath.Join(dir, JournalName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var r record
-		if rep := journal.Check(data, func(_ int64, p []byte) error { return decodeRecord(p, &r) }); rep.State != journal.Clean || rep.Records != 1 {
-			t.Fatalf("user %s journal: %d records, %v", u, rep.Records, rep.State)
+		out := map[string]record{}
+		rep := journal.Check(data, func(_ int64, p []byte) error {
+			var r record
+			if err := decodeRecord(p, &r); err != nil {
+				return err
+			}
+			if _, dup := out[r.Participant]; dup {
+				return fmt.Errorf("second record for %s", r.Participant)
+			}
+			out[r.Participant] = r
+			return nil
+		})
+		if rep.State != journal.Clean || rep.Records != len(users) {
+			t.Fatalf("journal in %s: %d records, %v (%v)", dir, rep.Records, rep.State, rep.Cause)
 		}
-		return r
+		return out
 	}
+	gotRecs, wantRecs := readRecords(dir), readRecords(refDir)
 	for i, u := range users {
-		got := readRecord(dir, u)
-		want := readRecord(refDir, u)
+		got, want := gotRecs[u], wantRecs[u]
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("user %s journal:\n  got  %+v / %+v\n  want %+v / %+v", u, got, got.Notif, want, want.Notif)
 		}
@@ -203,7 +216,7 @@ func TestTornCommitGroupReplay(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "p.jsonl")
+	path := filepath.Join(dir, JournalName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -262,17 +275,17 @@ func TestCompactionOnLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := s2.History("p") // first access loads and compacts
+	hist, err := s2.History("p") // the open loaded and compacted
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hist) != 2 || hist[0].ID != ids[8] || hist[1].ID != ids[9] {
 		t.Fatalf("history after compaction = %+v, want live ids %d,%d", hist, ids[8], ids[9])
 	}
-	if _, err := os.Stat(filepath.Join(dir, "p.jsonl.tmp")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, JournalName+".tmp")); !os.IsNotExist(err) {
 		t.Fatalf("compaction tmp file left behind (stat err %v)", err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "p.jsonl"))
+	data, err := os.ReadFile(filepath.Join(dir, JournalName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,5 +420,72 @@ func TestConcurrentFanoutAckScrape(t *testing.T) {
 	wantX := total - total/2 // half of queue x was acked
 	if pending, _ := s.Pending("x"); len(pending) != wantX {
 		t.Fatalf("queue x pending = %d, want %d", len(pending), wantX)
+	}
+}
+
+// TestSyncedFanoutOneFsync: every recipient of a fan-out stages into
+// the same commit group of the store's one journal, so a width-64
+// fan-out on a syncing store costs exactly one fsync, not one per
+// recipient.
+func TestSyncedFanoutOneFsync(t *testing.T) {
+	s, err := NewStoreWith(t.TempDir(), StoreOptions{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	users := make([]string, 64)
+	for i := range users {
+		users[i] = fmt.Sprintf("u%d", i)
+	}
+	before := fs.Syncs()
+	ns, dups, err := s.EnqueueFanout(users, "", Notification{Schema: "AS", Description: "wide"})
+	if err != nil || dups != 0 {
+		t.Fatalf("fanout: dups=%d err=%v", dups, err)
+	}
+	if syncs := fs.Syncs() - before; syncs != 1 {
+		t.Fatalf("width-64 fan-out issued %d fsyncs, want 1", syncs)
+	}
+	for i, n := range ns {
+		if n.ID != 1 {
+			t.Fatalf("recipient %s got id %d, want 1", users[i], n.ID)
+		}
+	}
+}
+
+// TestOneDeliveryFile: however many participants a store delivers to,
+// its directory holds one delivery file, and every queue replays from
+// it.
+func TestOneDeliveryFile(t *testing.T) {
+	for _, n := range []int{1, 100} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := s.Enqueue(fmt.Sprintf("p%d", i), Notification{Schema: "AS"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].Name() != JournalName {
+				t.Fatalf("%d participants left %d files, want only %s", n, len(entries), JournalName)
+			}
+			s2, err := NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if parts := s2.Participants(); len(parts) != n {
+				t.Fatalf("reopened store has %d participants, want %d", len(parts), n)
+			}
+		})
 	}
 }

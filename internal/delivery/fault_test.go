@@ -2,7 +2,6 @@ package delivery
 
 import (
 	"errors"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,9 +12,9 @@ import (
 )
 
 // TestFsyncFailurePoisonsQueue pins the fsyncgate policy: the first
-// failed commit fsync permanently poisons the queue — the failing
-// writer gets the error, and every later append fails fast instead of
-// retrying Sync on the same descriptor.
+// failed commit fsync permanently poisons the store's one journal — the
+// failing writer gets the error, and every later append, to any queue,
+// fails fast instead of retrying Sync on the same descriptor.
 func TestFsyncFailurePoisonsQueue(t *testing.T) {
 	dir := t.TempDir()
 	ff := fs.NewFault(nil, fs.FaultConfig{FailSyncAt: 1})
@@ -39,9 +38,12 @@ func TestFsyncFailurePoisonsQueue(t *testing.T) {
 	if err := s.Ack("alice", 1); err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("ack on poisoned queue: got %v", err)
 	}
-	// Other queues are unaffected.
-	if _, err := s.Enqueue("bob", Notification{Schema: "S", Description: "ok"}); err != nil {
-		t.Fatalf("healthy queue: %v", err)
+	// The journal is shared, so bob's queue is refused too.
+	if _, err := s.Enqueue("bob", Notification{Schema: "S", Description: "other"}); err == nil || !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("enqueue to another queue: want poisoned error, got %v", err)
+	}
+	if got := s.PoisonedQueues(); got != 1 {
+		t.Fatalf("PoisonedQueues = %d after more refused appends, want 1", got)
 	}
 }
 
@@ -63,7 +65,7 @@ func TestMidJournalCorruptionStopsLoad(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, url.PathEscape("alice")+".jsonl")
+	path := filepath.Join(dir, JournalName)
 	if _, err := fs.CorruptFrame(path, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestTornTailStillTolerated(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, url.PathEscape("alice")+".jsonl")
+	path := filepath.Join(dir, JournalName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +161,7 @@ func TestCheckJournalDetectsDamage(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, url.PathEscape("alice")+".jsonl")
+	path := filepath.Join(dir, JournalName)
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -195,10 +197,10 @@ func TestCheckJournalDetectsDamage(t *testing.T) {
 func TestUndecodableFrameMarksQueueCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	var data []byte
-	data = journal.AppendRecord(data, appendRecordNotif(nil, "", &Notification{ID: 1, Schema: "S", Description: "one"}))
+	data = journal.AppendRecord(data, appendRecordNotif(nil, "alice", "", &Notification{ID: 1, Schema: "S", Description: "one"}))
 	data = journal.AppendRecord(data, []byte{recNotif, 1, 2}) // CRC-valid, truncated payload
-	data = journal.AppendRecord(data, appendRecordNotif(nil, "", &Notification{ID: 2, Schema: "S", Description: "two"}))
-	path := filepath.Join(dir, "alice.jsonl")
+	data = journal.AppendRecord(data, appendRecordNotif(nil, "alice", "", &Notification{ID: 2, Schema: "S", Description: "two"}))
+	path := filepath.Join(dir, JournalName)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

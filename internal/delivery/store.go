@@ -7,26 +7,28 @@
 // acknowledges queued information.
 //
 // Queues are persistent: a participant is not assumed to be logged on
-// when an awareness event is detected, so each participant's queue is
-// journaled to its own append-only journal (package journal; the file
-// keeps its historical .jsonl name) and rebuilt on restart.
+// when an awareness event is detected, so the queues are journaled and
+// rebuilt on restart. A store keeps one journal for all of its queues,
+// STATE/delivery.journal (package journal), whose records carry their
+// participant; opening the store replays it once, dispatching each
+// record to its participant's in-memory queue.
 //
 // The journal is written with group commit: each queue has its own lock,
-// and concurrent appends to the same queue coalesce into a single write
-// (+ fsync when the store is opened with StoreOptions.Sync). N writers
-// racing on one queue therefore pay ~one commit per group rather than
-// one each — the same amortization transactional logs use — which is
-// what lets sharded awareness detection scale on the durable
-// local-delivery path.
+// under which its records are staged into the shared journal, and every
+// record staged while a commit is in flight joins the next group — one
+// write (+ fsync when the store is opened with StoreOptions.Sync) for
+// all of them. A fan-out to N participants, like N writers racing,
+// therefore pays ~one commit per group rather than one per record — the
+// same amortization transactional logs use — which is what lets sharded
+// awareness detection scale on the durable local-delivery path.
 package delivery
 
 import (
 	"fmt"
-	"net/url"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +39,10 @@ import (
 	"github.com/mcc-cmi/cmi/internal/obs"
 	"github.com/mcc-cmi/cmi/internal/wire"
 )
+
+// JournalName is the file name of a store's journal inside its
+// directory.
+const JournalName = "delivery.journal"
 
 // A Notification is one piece of awareness information queued for one
 // participant.
@@ -63,9 +69,11 @@ type Notification struct {
 // A record is one decoded journal record: Kind is one of the record
 // codes (recNotif, recAck, recKey, recNext, see codec.go).
 type record struct {
-	Kind  byte
-	Notif Notification
-	AckID int64
+	Kind byte
+	// Participant owns the queue the record belongs to.
+	Participant string
+	Notif       Notification
+	AckID       int64
 	// Key is the idempotency key of a remotely pushed notification
 	// (EnqueueKeyed / EnqueueFanout); replayed on load so redelivery
 	// after a crash on either side cannot duplicate a notification.
@@ -78,11 +86,12 @@ type record struct {
 	NextID int64
 }
 
-// A CommitHook observes committed notifications: it is invoked once per
-// journal commit group that carries notifications, with the
-// participant the queue belongs to and the group's notifications in id
-// order. Calls for one queue are serialized and ordered (group commit
-// serializes the journal), so a subscriber sees ids strictly ascending
+// A CommitHook observes committed notifications: it is invoked after
+// each journal commit group that carries notifications, once per
+// consecutive run of one participant's notifications in the group, with
+// that participant and the run in id order. Calls are serialized and
+// ordered (group commit serializes the journal, and each queue stages
+// its records in id order), so a subscriber sees ids strictly ascending
 // per participant. The hook runs on the commit leader's goroutine while
 // the next group is still free to form, but it delays the group's
 // writers from returning — it must never block (the streaming hub's
@@ -90,15 +99,18 @@ type record struct {
 // blocking). ns is only valid during the call.
 type CommitHook func(participant string, ns []Notification)
 
-type queue struct {
+// staged is the value a notif record carries through its commit group
+// to the commit hook.
+type staged struct {
 	participant string
-	// log is the queue's journal; its Committed callback reports every
-	// commit group to the store's metrics and commit hook.
-	log *journal.Log[Notification]
+	n           Notification
+}
 
+// A queue is one participant's in-memory queue. Its records live in the
+// store's journal; its lock orders them there.
+type queue struct {
 	mu      sync.Mutex
 	notifs  []Notification  // in id order
-	byID    map[int64]int   // id -> index in notifs
 	keys    map[string]bool // idempotency keys already enqueued
 	nextID  int64
 	watches []chan Notification
@@ -106,30 +118,48 @@ type queue struct {
 	closed  bool // the store has been closed
 }
 
+func newQueue() *queue {
+	return &queue{keys: make(map[string]bool), nextID: 1}
+}
+
+// after returns the index of the first notification with an id greater
+// than id: notifs is in id order (each queue stages its records in id
+// order, and a load replays them in file order).
+func (q *queue) after(id int64) int {
+	return sort.Search(len(q.notifs), func(i int) bool { return q.notifs[i].ID > id })
+}
+
+// find returns the index of the notification with the given id.
+func (q *queue) find(id int64) (int, bool) {
+	i := q.after(id - 1)
+	return i, i < len(q.notifs) && q.notifs[i].ID == id
+}
+
 // A Store owns the persistent per-participant queues of one CMI system.
 // It is safe for concurrent use; operations on distinct queues do not
-// contend, and concurrent appends to the same queue group-commit.
+// contend, and concurrent appends group-commit into the one journal.
 type Store struct {
-	dir          string
-	syncOnCommit bool
-	fsys         fs.FS
+	log *journal.Log[staged]
 
 	// metrics is atomic so the enqueue/ack hot paths read it without
 	// taking any store-wide lock.
 	metrics atomic.Pointer[storeMetrics]
 	// pendingTotal counts unacknowledged notifications across all
-	// loaded queues, maintained incrementally so the queue-depth gauge
-	// is O(1) at scrape time instead of a full scan under a lock.
+	// queues, maintained incrementally so the queue-depth gauge is O(1)
+	// at scrape time instead of a full scan under a lock.
 	pendingTotal atomic.Int64
 	// commitHook, when set, observes every committed notification batch
 	// (see CommitHook). Atomic so the commit path reads it without a
 	// store-wide lock.
 	commitHook atomic.Pointer[CommitHook]
-	// poisoned counts queues whose journal a failed write poisoned;
-	// corruptLoads counts journals whose load found mid-journal
-	// corruption. Both feed gauges and the system health report.
-	poisoned     atomic.Int64
-	corruptLoads atomic.Int64
+	// run is the committed callback's scratch for one participant's run
+	// of notifications; commit callbacks are serialized.
+	run []Notification
+	// poisoned is set when a failed write poisoned the journal; corrupt
+	// when its load found mid-journal corruption. Both feed gauges and
+	// the system health report.
+	poisoned atomic.Bool
+	corrupt  bool
 
 	mu     sync.Mutex // guards queues map and closed only
 	queues map[string]*queue
@@ -140,10 +170,11 @@ type Store struct {
 type StoreOptions struct {
 	// Sync fsyncs the journal file at the end of every commit group,
 	// making appends durable against machine crashes rather than only
-	// process crashes. Group commit amortizes the fsync: N concurrent
-	// appends to one queue pay ~one fsync per group, not one each.
+	// process crashes. Group commit amortizes the fsync: every record
+	// staged into one group, whichever queues they belong to, pays one
+	// fsync.
 	Sync bool
-	// FS is the filesystem the journals live on; nil means the real
+	// FS is the filesystem the journal lives on; nil means the real
 	// one. Tests and the chaos oracle inject storage faults here.
 	FS fs.FS
 }
@@ -183,29 +214,37 @@ func (s *Store) Instrument(reg *obs.Registry, labels ...obs.Label) {
 		encode: wire.Instrument(reg),
 	})
 	reg.GaugeFunc("cmi_delivery_queue_depth",
-		"Unacknowledged notifications across all loaded participant queues.",
+		"Unacknowledged notifications across all participant queues.",
 		func() float64 { return float64(s.pendingDepth()) }, labels...)
 	reg.GaugeFunc("cmi_delivery_poisoned_queues",
-		"Participant journals poisoned by a failed commit write or fsync (refusing all further appends).",
-		func() float64 { return float64(s.poisoned.Load()) }, labels...)
+		"1 when a failed commit write or fsync poisoned the delivery journal (every queue refuses appends), else 0.",
+		func() float64 { return float64(s.PoisonedQueues()) }, labels...)
 	reg.GaugeFunc("cmi_delivery_corrupt_journals",
-		"Participant journals whose load stopped at mid-journal (non-tail) corruption.",
-		func() float64 { return float64(s.corruptLoads.Load()) }, labels...)
+		"1 when the delivery journal's load stopped at mid-journal (non-tail) corruption, else 0.",
+		func() float64 { return float64(s.CorruptJournals()) }, labels...)
 }
 
-// PoisonedQueues reports how many participant journals a failed commit
-// write or fsync has poisoned since the store opened.
-func (s *Store) PoisonedQueues() int { return int(s.poisoned.Load()) }
+// PoisonedQueues reports 1 when a failed commit write or fsync has
+// poisoned the store's journal since it opened, and 0 otherwise. A
+// poisoned journal refuses appends to every queue.
+func (s *Store) PoisonedQueues() int { return b2i(s.poisoned.Load()) }
 
-// CorruptJournals reports how many participant journals were found
-// mid-journal corrupt at load: replay stopped at the first bad record
-// with committed history after it. The decoded prefix is served, but the
-// condition is surfaced (health goes unhealthy) until `cmictl fsck`
-// repairs the file.
-func (s *Store) CorruptJournals() int { return int(s.corruptLoads.Load()) }
+// CorruptJournals reports 1 when the store's journal was found
+// mid-journal corrupt at load, and 0 otherwise: replay stopped at the
+// first bad record with committed history after it. Every queue serves
+// its decoded prefix read-only, and the condition is surfaced (health
+// goes unhealthy) until `cmictl fsck` repairs the file.
+func (s *Store) CorruptJournals() int { return b2i(s.corrupt) }
 
-// pendingDepth reports unacknowledged notifications across the loaded
-// queues for the queue-depth gauge — an O(1) read of the incrementally
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// pendingDepth reports unacknowledged notifications across the queues
+// for the queue-depth gauge — an O(1) read of the incrementally
 // maintained counter, never a scan.
 func (s *Store) pendingDepth() int {
 	return int(s.pendingTotal.Load())
@@ -213,12 +252,13 @@ func (s *Store) pendingDepth() int {
 
 // OnCommit registers the store's commit hook, the per-commit-group
 // broadcast feeding live streaming sessions: fn is invoked after each
-// journal commit group that carries notifications, with the whole batch
-// in one call, so one commit group costs one hook call per queue however
-// many writers it coalesced. Notifications are reported in id order per
-// participant; a group whose write failed is still reported, because its
-// records were accepted in memory (the journal decides on restart, and
-// the keyed dedup backstops replays). Passing nil removes the hook.
+// journal commit group that carries notifications, once per consecutive
+// run of one participant's notifications in it, so one commit group
+// costs a hook call per run however many writers it coalesced.
+// Notifications are reported in id order per participant; a group whose
+// write failed is still reported, because its records were accepted in
+// memory (the journal decides on restart, and the keyed dedup backstops
+// replays). Passing nil removes the hook.
 func (s *Store) OnCommit(fn CommitHook) {
 	if fn == nil {
 		s.commitHook.Store(nil)
@@ -241,13 +281,84 @@ func NewStore(dir string) (*Store, error) {
 }
 
 // NewStoreWith opens (creating if necessary) a queue store rooted at
-// dir with the given options.
+// dir with the given options. It replays the store's journal into the
+// queues and compacts it when acknowledged records dominate. A
+// directory holding per-participant queue files but no journal (see
+// LegacyQueues) is refused with an error wrapping journal.ErrLegacy,
+// and nothing in it is written.
 func NewStoreWith(dir string, opts StoreOptions) (*Store, error) {
 	fsys := fs.Or(opts.FS)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("delivery: %w", err)
 	}
-	return &Store{dir: dir, syncOnCommit: opts.Sync, fsys: fsys, queues: make(map[string]*queue)}, nil
+	path := filepath.Join(dir, JournalName)
+	if _, err := os.Stat(path); os.IsNotExist(err) {
+		legacy, err := LegacyQueues(fsys, dir)
+		if err != nil {
+			return nil, fmt.Errorf("delivery: %w", err)
+		}
+		if len(legacy) > 0 {
+			return nil, fmt.Errorf("delivery: per-participant queue file(s) %s in %s were %w; drain them with the release that wrote them, or move them aside with cmictl fsck -quarantine",
+				strings.Join(legacy, ", "), dir, journal.ErrLegacy)
+		}
+	}
+	s := &Store{queues: make(map[string]*queue)}
+	log, rep, err := journal.Open(path, journal.Options[staged]{
+		FS:        fsys,
+		Sync:      opts.Sync,
+		Committed: s.committed,
+		OnPoison:  func(error) { s.poisoned.Store(true) },
+	}, s.replay)
+	if err != nil {
+		return nil, fmt.Errorf("delivery: %w", err)
+	}
+	s.log = log
+	for _, q := range s.queues {
+		for i := range q.notifs {
+			if !q.notifs[i].Acked {
+				q.pending++
+			}
+		}
+		s.pendingTotal.Add(int64(q.pending))
+	}
+	if rep.State == journal.Corrupt {
+		// The journal opened poisoned: every queue serves its decoded
+		// prefix read-only and the journal is never compacted, which
+		// would destroy the evidence fsck needs.
+		s.corrupt = true
+	} else {
+		s.maybeCompact()
+	}
+	return s, nil
+}
+
+// LegacyQueues lists the per-participant queue files of the layout
+// before the store-wide journal: the `*.jsonl` files in dir whose first
+// byte starts a binary frame. A store refuses to open beside them until
+// it has a journal of its own, and `cmictl fsck` reports them. JSON-lines
+// files, such as audit journals, are not delivery state, and neither is
+// spool.jsonl, the federation spool's old name, which the spool's own
+// open refuses.
+func LegacyQueues(fsys fs.FS, dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || filepath.Ext(name) != ".jsonl" || name == "spool.jsonl" {
+			continue
+		}
+		data, err := fsys.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, err
+		}
+		if len(data) > 0 && data[0] == wire.Format1 {
+			out = append(out, name)
+		}
+	}
+	return out, nil
 }
 
 func errClosed() error { return fmt.Errorf("delivery: store closed") }
@@ -260,146 +371,64 @@ func (s *Store) hook() CommitHook {
 	return nil
 }
 
-// committed is a queue journal's Committed callback: it observes the
-// commit group in the store's metrics and broadcasts its notifications
-// through the commit hook, loaded at commit time, so a group led by an
-// ack writer still broadcasts the notifications other writers joined.
-func (s *Store) committed(participant string) func(int, time.Duration, []Notification) {
-	return func(records int, took time.Duration, ns []Notification) {
-		if m := s.metrics.Load(); m != nil {
-			m.appendLatency.Observe(took)
-			m.commits.Inc()
-			m.batchSize.Observe(float64(records))
-		}
-		if len(ns) > 0 {
-			if h := s.hook(); h != nil {
-				h(participant, ns)
-			}
-		}
+// committed is the journal's Committed callback: it observes the commit
+// group in the store's metrics and broadcasts its notifications through
+// the commit hook, loaded at commit time, so a group led by an ack
+// writer still broadcasts the notifications other writers joined. Each
+// consecutive run of one participant's notifications is one hook call.
+func (s *Store) committed(records int, took time.Duration, items []staged) {
+	if m := s.metrics.Load(); m != nil {
+		m.appendLatency.Observe(took)
+		m.commits.Inc()
+		m.batchSize.Observe(float64(records))
 	}
+	h := s.hook()
+	if h == nil {
+		return
+	}
+	for i := 0; i < len(items); {
+		p := items[i].participant
+		s.run = s.run[:0]
+		for ; i < len(items) && items[i].participant == p; i++ {
+			s.run = append(s.run, items[i].n)
+		}
+		h(p, s.run)
+	}
+	clear(s.run)
 }
 
-// queueFor resolves (loading or creating on first use) the participant's
-// queue. The store-wide lock covers only this map lookup/creation; all
-// queue I/O runs under the queue's own lock.
+// queueFor resolves (creating on first use) the participant's queue.
+// The store-wide lock covers only this map lookup/creation; all queue
+// state is under the queue's own lock.
 func (s *Store) queueFor(participant string) (*queue, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, errClosed()
 	}
-	return s.queueLocked(participant)
-}
-
-func (s *Store) queueLocked(participant string) (*queue, error) {
-	if q, ok := s.queues[participant]; ok {
-		return q, nil
-	}
-	q, err := s.newQueue(participant)
-	if err != nil {
-		return nil, err
-	}
-	s.queues[participant] = q
-	s.pendingTotal.Add(int64(q.pending))
-	return q, nil
-}
-
-// newQueue loads (or creates) one participant queue from its journal
-// file — the shared construction path of queueLocked and Preload.
-func (s *Store) newQueue(participant string) (*queue, error) {
-	q := &queue{participant: participant, byID: make(map[int64]int), keys: make(map[string]bool), nextID: 1}
-	log, rep, err := journal.Open(filepath.Join(s.dir, url.PathEscape(participant)+".jsonl"),
-		journal.Options[Notification]{
-			FS:        s.fsys,
-			Sync:      s.syncOnCommit,
-			Committed: s.committed(participant),
-			OnPoison:  func(error) { s.poisoned.Add(1) },
-		}, q.replay)
-	if err != nil {
-		return nil, fmt.Errorf("delivery: %w", err)
-	}
-	q.log = log
-	for i := range q.notifs {
-		if !q.notifs[i].Acked {
-			q.pending++
-		}
-	}
-	if rep.State == journal.Corrupt {
-		// The journal opened poisoned: the queue serves the decoded
-		// prefix read-only and is never compacted, which would destroy
-		// the evidence fsck needs.
-		s.corruptLoads.Add(1)
-	} else {
-		q.maybeCompact()
+	q, ok := s.queues[participant]
+	if !ok {
+		q = newQueue()
+		s.queues[participant] = q
 	}
 	return q, nil
 }
 
-// Preload loads every on-disk queue, replaying journals in parallel —
-// called once at startup so delivery recovery overlaps across
-// participants instead of paying first-touch replay per request.
-func (s *Store) Preload() error {
-	participants, err := s.Participants()
-	if err != nil {
-		return err
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, p := range participants {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return errClosed()
-		}
-		_, loaded := s.queues[p]
-		s.mu.Unlock()
-		if loaded {
-			continue
-		}
-		wg.Add(1)
-		go func(p string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			q, err := s.newQueue(p)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			s.mu.Lock()
-			if s.closed || s.queues[p] != nil {
-				s.mu.Unlock()
-				q.log.Close()
-				return
-			}
-			s.queues[p] = q
-			s.mu.Unlock()
-			s.pendingTotal.Add(int64(q.pending))
-		}(p)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// replay applies one journal record to the loading queue:
+// replay applies one journal record to its participant's loading queue:
 // notifications in order, acks, bare keys and id high-water marks. A
 // record that fails to decode stops the load (journal.Check's rule).
-func (q *queue) replay(payload []byte) error {
+func (s *Store) replay(payload []byte) error {
 	var r record
 	if err := decodeRecord(payload, &r); err != nil {
 		return err
 	}
+	q, ok := s.queues[r.Participant]
+	if !ok {
+		q = newQueue()
+		s.queues[r.Participant] = q
+	}
 	switch r.Kind {
 	case recNotif:
-		q.byID[r.Notif.ID] = len(q.notifs)
 		q.notifs = append(q.notifs, r.Notif)
 		if r.Key != "" {
 			q.keys[r.Key] = true
@@ -408,7 +437,7 @@ func (q *queue) replay(payload []byte) error {
 			q.nextID = r.Notif.ID + 1
 		}
 	case recAck:
-		if i, ok := q.byID[r.AckID]; ok {
+		if i, ok := q.find(r.AckID); ok {
 			q.notifs[i].Acked = true
 		}
 	case recKey:
@@ -422,21 +451,26 @@ func (q *queue) replay(payload []byte) error {
 }
 
 // compactMinAcked is the floor below which compaction never triggers,
-// so small queues (and their full history) are left alone.
+// so small stores (and their full history) are left alone.
 const compactMinAcked = 4
 
 // maybeCompact rewrites a journal dominated by acknowledged records
-// down to its live state: an id high-water mark, the idempotency keys
-// (kept standalone so redelivered pushes of acked notifications still
-// dedup), and the live notifications. Long-lived participants therefore
-// stop paying replay cost for information they acknowledged long ago.
-// The rewrite is atomic (journal.Log.Rewrite), so a crash at any point
-// leaves either the old or the new journal, never a mix; it is
-// best-effort — on any error the original journal is kept. It runs at
-// load, before the queue is shared; a corrupt journal never reaches it.
-func (q *queue) maybeCompact() {
-	acked := len(q.notifs) - q.pending
-	if acked <= q.pending || acked < compactMinAcked {
+// down to its live state, per participant: an id high-water mark, the
+// idempotency keys (kept standalone so redelivered pushes of acked
+// notifications still dedup), and the live notifications. Long-lived
+// stores therefore stop paying replay cost for information participants
+// acknowledged long ago. The rewrite is atomic (journal.Log.Rewrite), so
+// a crash at any point leaves either the old or the new journal, never
+// a mix; it is best-effort — on any error the original journal is kept.
+// It runs at load, before the store is shared; a corrupt journal never
+// reaches it.
+func (s *Store) maybeCompact() {
+	live, acked := 0, 0
+	for _, q := range s.queues {
+		live += q.pending
+		acked += len(q.notifs) - q.pending
+	}
+	if acked <= live || acked < compactMinAcked {
 		return
 	}
 	var buf, payload []byte
@@ -444,54 +478,54 @@ func (q *queue) maybeCompact() {
 		payload = pay
 		buf = journal.AppendRecord(buf, pay)
 	}
-	writeRec(appendRecordNext(payload[:0], q.nextID))
-	keys := make([]string, 0, len(q.keys))
-	for k := range q.keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		writeRec(appendRecordKey(payload[:0], k))
-	}
-	for i := range q.notifs {
-		if q.notifs[i].Acked {
-			continue
+	for _, p := range s.Participants() {
+		q := s.queues[p]
+		writeRec(appendRecordNext(payload[:0], p, q.nextID))
+		keys := make([]string, 0, len(q.keys))
+		for k := range q.keys {
+			keys = append(keys, k)
 		}
-		writeRec(appendRecordNotif(payload[:0], "", &q.notifs[i]))
+		sort.Strings(keys)
+		for _, k := range keys {
+			writeRec(appendRecordKey(payload[:0], p, k))
+		}
+		for i := range q.notifs {
+			if !q.notifs[i].Acked {
+				writeRec(appendRecordNotif(payload[:0], p, "", &q.notifs[i]))
+			}
+		}
 	}
-	if q.log.Rewrite(buf) != nil {
+	if s.log.Rewrite(buf) != nil {
 		return
 	}
-	// The in-memory queue mirrors the compacted journal: acked
+	// The in-memory queues mirror the compacted journal: acked
 	// notifications are gone from history from here on.
-	live := make([]Notification, 0, q.pending)
-	byID := make(map[int64]int, q.pending)
-	for i := range q.notifs {
-		if q.notifs[i].Acked {
-			continue
+	for _, q := range s.queues {
+		notifs := make([]Notification, 0, q.pending)
+		for i := range q.notifs {
+			if !q.notifs[i].Acked {
+				notifs = append(notifs, q.notifs[i])
+			}
 		}
-		byID[q.notifs[i].ID] = len(live)
-		live = append(live, q.notifs[i])
+		q.notifs = notifs
 	}
-	q.notifs = live
-	q.byID = byID
 }
 
-// usable reports why the queue refuses writes: closed store, or a
+// usable reports why a queue refuses writes: closed store, or a
 // poisoned journal — a failed commit, or mid-journal corruption found
 // at load (appending past a damaged region would reuse ids from the
 // lost suffix). Called with q.mu held.
-func (q *queue) usable() error {
+func (s *Store) usable(q *queue) error {
 	if q.closed {
 		return errClosed()
 	}
-	if q.log.Poisoned() {
-		return q.log.Err()
+	if s.log.Poisoned() {
+		return s.log.Err()
 	}
 	return nil
 }
 
-// accept applies one accepted notification to the queue's in-memory
+// accept applies one staged notification to the queue's in-memory
 // state (id high-water mark, history, dedup key, pending counters,
 // watchers) at id-assignment time, before its commit group lands —
 // watchers therefore see notifications in id order. If the commit later
@@ -499,7 +533,6 @@ func (q *queue) usable() error {
 // the journal decides on restart. Called with q.mu held.
 func (s *Store) accept(q *queue, n Notification, key string, m *storeMetrics) {
 	q.nextID = n.ID + 1
-	q.byID[n.ID] = len(q.notifs)
 	q.notifs = append(q.notifs, n)
 	if key != "" {
 		q.keys[key] = true
@@ -531,63 +564,20 @@ func (s *Store) Enqueue(participant string, n Notification) (Notification, error
 // duplicate=true, so a redelivered push lands exactly once. An empty key
 // behaves like Enqueue.
 func (s *Store) EnqueueKeyed(participant, key string, n Notification) (Notification, bool, error) {
-	q, err := s.queueFor(participant)
+	var out [1]Notification
+	dups, err := s.enqueue([]FanoutItem{{Users: []string{participant}, Key: key, N: n}}, out[:])
 	if err != nil {
 		return Notification{}, false, err
 	}
-	m := s.metrics.Load()
-	q.mu.Lock()
-	if err := q.usable(); err != nil {
-		q.mu.Unlock()
-		return Notification{}, false, err
-	}
-	if key != "" && q.keys[key] {
-		q.mu.Unlock()
-		return Notification{}, true, nil
-	}
-	n.ID = q.nextID
-	n.Acked = false
-	rec := encodeNotifFrame(key, &n, m)
-	s.accept(q, n, key, m)
-	t, err := q.log.Stage(rec, 1, n)
-	q.mu.Unlock()
-	wire.PutBuf(rec)
-	if err == nil {
-		err = t.Wait()
-	}
-	if err != nil {
-		return Notification{}, false, err
-	}
-	return n, false, nil
-}
-
-// encodeNotifFrame encodes one notif record as a journal record (frame
-// and separator) in a pooled buffer (release with wire.PutBuf), observing
-// encode latency when instrumented.
-func encodeNotifFrame(key string, n *Notification, m *storeMetrics) []byte {
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	payload := wire.GetBuf(notifRecordSize(key, n))
-	payload = appendRecordNotif(payload, key, n)
-	rec := journal.AppendRecord(wire.GetBuf(len(payload)+16), payload)
-	wire.PutBuf(payload)
-	if m != nil {
-		m.encode.Observe(time.Since(t0))
-	}
-	return rec
+	return out[0], dups > 0, nil
 }
 
 // EnqueueFanout appends one notification to many participant queues —
 // the delivery agent's fan-out after awareness role resolution. The
-// notification is binary-encoded into a wire frame once; the id — the
-// only per-queue part, held in a fixed-width slot — is patched in place
-// and the frame resealed per queue, then journaled through that queue's
-// commit group, so a wide fan-out (or many concurrent fan-outs from
-// detection shards) pays ~one commit per group per queue instead of one
-// per record, and the encode cost once instead of per queue. Per-queue
-// id ordering and idempotency-key dedup match EnqueueKeyed exactly.
+// notification is encoded once and every queue's record joins the same
+// commit group, so a fan-out of any width pays ~one commit (one fsync
+// when syncing). Per-queue id ordering and idempotency-key dedup match
+// EnqueueKeyed exactly.
 //
 // It returns the enqueued notifications aligned with users (zero-valued
 // where the key was a duplicate or the queue failed), the number of
@@ -595,56 +585,8 @@ func encodeNotifFrame(key string, n *Notification, m *storeMetrics) []byte {
 // one are still attempted.
 func (s *Store) EnqueueFanout(users []string, key string, n Notification) ([]Notification, int, error) {
 	out := make([]Notification, len(users))
-	if len(users) == 0 {
-		return out, 0, nil
-	}
-	n.ID = 0
-	n.Acked = false
-	m := s.metrics.Load()
-	rec := encodeNotifFrame(key, &n, m)
-	defer wire.PutBuf(rec)
-	var (
-		dups     int
-		firstErr error
-	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for i, u := range users {
-		q, err := s.queueFor(u)
-		if err != nil {
-			fail(err)
-			continue
-		}
-		q.mu.Lock()
-		if err := q.usable(); err != nil {
-			q.mu.Unlock()
-			fail(err)
-			continue
-		}
-		if key != "" && q.keys[key] {
-			dups++
-			q.mu.Unlock()
-			continue
-		}
-		nn := n
-		nn.ID = q.nextID
-		patchNotifID(rec, nn.ID)
-		s.accept(q, nn, key, m)
-		t, err := q.log.Stage(rec, 1, nn)
-		q.mu.Unlock()
-		if err == nil {
-			err = t.Wait()
-		}
-		if err != nil {
-			fail(err)
-			continue
-		}
-		out[i] = nn
-	}
-	return out, dups, firstErr
+	dups, err := s.enqueue([]FanoutItem{{Users: users, Key: key, N: n}}, out)
+	return out, dups, err
 }
 
 // A FanoutItem is one notification fan-out inside EnqueueFanoutBatch.
@@ -656,10 +598,8 @@ type FanoutItem struct {
 
 // EnqueueFanoutBatch fans out a batch of notifications in one pass —
 // the delivery agent's path when detection shards hand over a drained
-// batch. Each notification is encoded once; records are grouped by
-// participant queue so every queue pays one lock acquisition and one
-// commit-group join for all its records in the batch, however many
-// notifications target it.
+// batch. Each notification is encoded once, and the whole batch joins
+// one commit group.
 //
 // It returns the number of queues each item landed on (aligned with
 // items; duplicates and failed queues excluded), the total duplicate
@@ -667,89 +607,111 @@ type FanoutItem struct {
 // in memory before a failing commit stay accepted — the journal decides
 // on restart.
 func (s *Store) EnqueueFanoutBatch(items []FanoutItem) ([]int, int, error) {
+	total := 0
+	for i := range items {
+		total += len(items[i].Users)
+	}
+	out := make([]Notification, total)
+	dups, err := s.enqueue(items, out)
 	queued := make([]int, len(items))
-	if len(items) == 0 {
-		return queued, 0, nil
+	k := 0
+	for i := range items {
+		for range items[i].Users {
+			if out[k].ID != 0 {
+				queued[i]++
+			}
+			k++
+		}
+	}
+	return queued, dups, err
+}
+
+// enqueue is the one staging path under every enqueue. Each item's
+// record tail (its key and notification body) is encoded once. Then,
+// for every recipient in turn and under that queue's lock, the
+// notification takes the queue's next id, its record is staged into the
+// journal and it is accepted in memory — so each queue's journal order
+// is its id order. Only then does enqueue wait, once, on the joined
+// ticket of everything it staged (journal.Ticket.Join), so a call of
+// any width pays one commit.
+//
+// out receives each recipient's notification, flattened in item then
+// user order, zero-valued where the key was a duplicate, the queue
+// refused, or the commit failed. dups counts the duplicates; err is the
+// first error, and recipients after a failing one are still attempted.
+func (s *Store) enqueue(items []FanoutItem, out []Notification) (dups int, err error) {
+	fail := func(e error) {
+		if err == nil {
+			err = e
+		}
 	}
 	m := s.metrics.Load()
-	frames := make([][]byte, len(items))
-	for i := range items {
-		items[i].N.ID = 0
-		items[i].N.Acked = false
-		frames[i] = encodeNotifFrame(items[i].Key, &items[i].N, m)
-	}
-	defer func() {
-		for _, f := range frames {
-			wire.PutBuf(f)
-		}
-	}()
-	// Group item indices by participant, preserving first-seen order.
-	byUser := make(map[string][]int)
-	order := make([]string, 0, len(items))
-	for i := range items {
-		for _, u := range items[i].Users {
-			if _, seen := byUser[u]; !seen {
-				order = append(order, u)
-			}
-			byUser[u] = append(byUser[u], i)
-		}
-	}
 	var (
-		dups     int
-		firstErr error
-		group    = wire.GetBuf(1 << 10)
-		batchNs  []Notification // reused per queue; Stage copies
+		t   journal.Ticket[staged]
+		rec = wire.GetBuf(256)
+		k   = 0
 	)
-	defer wire.PutBuf(group)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, u := range order {
-		q, err := s.queueFor(u)
-		if err != nil {
-			fail(err)
-			continue
-		}
-		q.mu.Lock()
-		if err := q.usable(); err != nil {
-			q.mu.Unlock()
-			fail(err)
-			continue
-		}
-		group = group[:0]
-		batchNs = batchNs[:0]
-		cnt := 0
-		for _, i := range byUser[u] {
-			it := &items[i]
+	for i := range items {
+		it := &items[i]
+		n := it.N
+		n.Acked = false
+		tail := encodeNotifTail(it.Key, &n, m)
+		for _, u := range it.Users {
+			slot := &out[k]
+			k++
+			q, e := s.queueFor(u)
+			if e != nil {
+				fail(e)
+				continue
+			}
+			q.mu.Lock()
+			if e := s.usable(q); e != nil {
+				q.mu.Unlock()
+				fail(e)
+				continue
+			}
 			if it.Key != "" && q.keys[it.Key] {
+				q.mu.Unlock()
 				dups++
 				continue
 			}
-			nn := it.N
-			nn.ID = q.nextID
-			patchNotifID(frames[i], nn.ID)
-			group = append(group, frames[i]...)
-			cnt++
-			s.accept(q, nn, it.Key, m)
-			batchNs = append(batchNs, nn)
-			queued[i]++
-		}
-		if cnt == 0 {
+			n.ID = q.nextID
+			rec = appendNotifRecord(rec[:0], u, n.ID, tail)
+			nt, e := s.log.StageRecord(rec, staged{u, n})
+			if e == nil {
+				s.accept(q, n, it.Key, m)
+			}
 			q.mu.Unlock()
-			continue
+			if e != nil {
+				fail(e)
+				continue
+			}
+			t = t.Join(nt)
+			*slot = n
 		}
-		t, err := q.log.Stage(group, cnt, batchNs...)
-		q.mu.Unlock()
-		if err == nil {
-			err = t.Wait()
-		}
-		if err != nil {
-			fail(err)
-		}
+		wire.PutBuf(tail)
 	}
-	return queued, dups, firstErr
+	wire.PutBuf(rec)
+	if e := t.Wait(); e != nil {
+		fail(e)
+		clear(out)
+	}
+	return dups, err
+}
+
+// encodeNotifTail encodes a notif record tail in a pooled buffer
+// (release with wire.PutBuf), observing encode latency when
+// instrumented.
+func encodeNotifTail(key string, n *Notification, m *storeMetrics) []byte {
+	var t0 time.Time
+	if m != nil {
+		t0 = time.Now()
+	}
+	tail := appendNotifTail(wire.GetBuf(notifTailSize(key, n)), key, n)
+	if m != nil {
+		m.encode.Observe(time.Since(t0))
+	}
+	return tail
 }
 
 // Pending returns the participant's unacknowledged notifications,
@@ -799,18 +761,8 @@ func (s *Store) PendingAfter(participant string, afterID int64, limit int) ([]No
 	if q.closed {
 		return nil, errClosed()
 	}
-	// q.notifs is in ascending id order; binary-search the resume point.
-	lo, hi := 0, len(q.notifs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if q.notifs[mid].ID <= afterID {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	var out []Notification
-	for _, n := range q.notifs[lo:] {
+	for _, n := range q.notifs[q.after(afterID):] {
 		if n.Acked {
 			continue
 		}
@@ -885,7 +837,7 @@ func (s *Store) History(participant string) ([]Notification, error) {
 }
 
 // Ack marks a notification acknowledged, durably. The ack record rides
-// the queue's commit groups like enqueues do.
+// the journal's commit groups like enqueues do.
 func (s *Store) Ack(participant string, id int64) error {
 	q, err := s.queueFor(participant)
 	if err != nil {
@@ -893,11 +845,11 @@ func (s *Store) Ack(participant string, id int64) error {
 	}
 	m := s.metrics.Load()
 	q.mu.Lock()
-	if err := q.usable(); err != nil {
+	if err := s.usable(q); err != nil {
 		q.mu.Unlock()
 		return err
 	}
-	i, ok := q.byID[id]
+	i, ok := q.find(id)
 	if !ok {
 		q.mu.Unlock()
 		return fmt.Errorf("delivery: participant %q has no notification %d: %w", participant, id, core.ErrNotFound)
@@ -906,14 +858,14 @@ func (s *Store) Ack(participant string, id int64) error {
 		q.mu.Unlock()
 		return nil
 	}
-	payload := appendRecordAck(wire.GetBuf(16), id)
+	payload := appendRecordAck(wire.GetBuf(16+len(participant)), participant, id)
 	q.notifs[i].Acked = true
 	q.pending--
 	s.pendingTotal.Add(-1)
 	if m != nil {
 		m.acked.Inc()
 	}
-	t, err := q.log.StageRecord(payload)
+	t, err := s.log.StageRecord(payload)
 	q.mu.Unlock()
 	wire.PutBuf(payload)
 	if err != nil {
@@ -940,38 +892,22 @@ func (s *Store) Watch(participant string) (<-chan Notification, error) {
 	return ch, nil
 }
 
-// Participants returns the ids with a queue on disk or in memory, sorted.
-func (s *Store) Participants() ([]string, error) {
+// Participants returns, sorted, the participants the store holds a
+// queue for: every participant in the journal, and every one touched
+// since the store opened.
+func (s *Store) Participants() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	set := map[string]bool{}
+	out := make([]string, 0, len(s.queues))
 	for p := range s.queues {
-		set[p] = true
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("delivery: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Ext(name) != ".jsonl" {
-			continue
-		}
-		p, err := url.PathUnescape(name[:len(name)-len(".jsonl")])
-		if err == nil {
-			set[p] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
 		out = append(out, p)
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
-// Close closes every queue journal, waiting for in-flight commit groups
-// to land first. Watch channels are closed.
+// Close closes the journal, waiting for in-flight commit groups to land
+// first. Watch channels are closed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -984,7 +920,6 @@ func (s *Store) Close() error {
 		queues = append(queues, q)
 	}
 	s.mu.Unlock()
-	var firstErr error
 	for _, q := range queues {
 		q.mu.Lock()
 		q.closed = true
@@ -993,10 +928,7 @@ func (s *Store) Close() error {
 		}
 		q.watches = nil
 		q.mu.Unlock()
-		// The journal lets groups already staged land before closing.
-		if err := q.log.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 	}
-	return firstErr
+	// The journal lets groups already staged land before closing.
+	return s.log.Close()
 }

@@ -487,7 +487,9 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 			"Time from spooling a remote notification to its delivery.",
 			redeliveryBuckets, lbl)
 	}
-	f.nudge <- struct{}{} // pick up entries journaled by a previous run
+	if sp.Depth() > 0 {
+		f.nudge <- struct{}{} // pick up entries journaled by a previous run
+	}
 	f.wg.Add(1)
 	go f.loop()
 	return f, nil

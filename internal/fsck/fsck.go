@@ -1,7 +1,7 @@
 // Package fsck is the offline state-directory verifier behind
 // `cmictl fsck`: it walks every durable artifact a CMI domain keeps —
-// persisted ADL specs, the enactment snapshot and WAL, the
-// per-participant delivery journals, the federation spool — and
+// persisted ADL specs, the enactment snapshot and WAL, the delivery
+// journal, the federation spool — and
 // re-verifies each one the way its owning engine would load it: the
 // journals through the same journal.Check their open runs (frame CRCs,
 // record decodes, the torn / corrupt / refused-format classification),
@@ -151,8 +151,17 @@ func Check(dir string, opts Options) (*Report, error) {
 			r.add(checkLog(fsys, dir, name, KindSpool, opts.Quarantine, verifySpool))
 		case name == "spool.jsonl" && !names["spool.journal"]:
 			r.add(legacySpoolName(fsys, dir, name))
-		case strings.HasSuffix(name, ".jsonl"):
+		case name == delivery.JournalName:
 			r.add(checkLog(fsys, dir, name, KindJournal, opts.Quarantine, verifyDelivery))
+		}
+	}
+	if !names[delivery.JournalName] {
+		legacy, err := delivery.LegacyQueues(fsys, dir)
+		if err != nil {
+			return nil, fmt.Errorf("fsck: %w", err)
+		}
+		for _, name := range legacy {
+			r.add(legacyQueue(fsys, dir, name, opts.Quarantine))
 		}
 	}
 
@@ -257,7 +266,8 @@ func verifyDelivery(data []byte) (journal.Report, string, string) {
 	if c.IDRegressions > 0 {
 		problem = fmt.Sprintf("%d notification-id regression(s)", c.IDRegressions)
 	}
-	summary := fmt.Sprintf("%d record(s), %d undelivered, next id %d", c.Records, c.Notifs-c.Acks, c.NextID)
+	summary := fmt.Sprintf("%d record(s), %d participant(s), %d undelivered, highest next id %d",
+		c.Records, c.Participants, c.Notifs-c.Acks, c.NextID)
 	if c.OrphanAcks > 0 {
 		summary += fmt.Sprintf("; %d orphan ack(s)", c.OrphanAcks)
 	}
@@ -315,6 +325,23 @@ func legacySpoolName(fsys fs.FS, dir, rel string) FileReport {
 	}
 	f.Damaged, f.Legacy = true, true
 	f.Detail = fmt.Sprintf("spool under its pre-binary name, %s; cmid refuses to forward until then", hint)
+	return f
+}
+
+// legacyQueue reports a per-participant queue file of the layout before
+// the store-wide delivery journal: every boot refuses the directory
+// while it is there. Under -quarantine its whole content moves aside,
+// leaving an empty file the store ignores.
+func legacyQueue(fsys fs.FS, dir, rel string, quarantine bool) FileReport {
+	f := FileReport{Path: rel, Kind: KindJournal, Damaged: true, Legacy: true, Torn: true,
+		Detail: fmt.Sprintf("per-participant delivery queue %s; cmid refuses to boot beside it: drain it with the release that wrote it, or -quarantine moves it aside", journal.ErrLegacy)}
+	path := filepath.Join(dir, rel)
+	data, err := fsys.ReadFile(path)
+	if err != nil {
+		f.Detail = fmt.Sprintf("unreadable: %v", err)
+		return f
+	}
+	maybeQuarantine(fsys, path, data, &f, quarantine)
 	return f
 }
 

@@ -28,8 +28,8 @@ awareness Done on Solo {
 
 // buildStateDir produces a realistic state directory holding every
 // artifact kind fsck understands: a persisted spec, an enactment WAL
-// with committed records, a compaction snapshot, a participant delivery
-// journal, and a federation spool with pending entries.
+// with committed records, a compaction snapshot, the delivery journal,
+// and a federation spool with pending entries.
 func buildStateDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -125,7 +125,7 @@ func TestCleanStateDirChecksClean(t *testing.T) {
 	for _, want := range []struct{ path, kind string }{
 		{"enact.wal", KindWAL},
 		{"enact.snap", KindSnapshot},
-		{"w1.jsonl", KindJournal},
+		{delivery.JournalName, KindJournal},
 		{"spool.journal", KindSpool},
 		{specFile(t, dir), KindSpec},
 	} {
@@ -154,7 +154,7 @@ func TestDetectsEveryInjectedCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
 		inject  func(t *testing.T, dir string) string // returns the path that must be flagged
-		corrupt bool                                   // expect mid-journal classification
+		corrupt bool                                  // expect mid-journal classification
 	}{
 		{"wal-mid-journal-bitrot", func(t *testing.T, dir string) string {
 			if _, err := fs.CorruptFrame(filepath.Join(dir, "enact.wal"), 1); err != nil {
@@ -163,10 +163,10 @@ func TestDetectsEveryInjectedCorruption(t *testing.T) {
 			return "enact.wal"
 		}, true},
 		{"delivery-journal-bitrot", func(t *testing.T, dir string) string {
-			if _, err := fs.CorruptFrame(filepath.Join(dir, "w1.jsonl"), 2); err != nil {
+			if _, err := fs.CorruptFrame(filepath.Join(dir, delivery.JournalName), 2); err != nil {
 				t.Fatal(err)
 			}
-			return "w1.jsonl"
+			return delivery.JournalName
 		}, true},
 		{"spool-bitrot", func(t *testing.T, dir string) string {
 			if _, err := fs.CorruptFrame(filepath.Join(dir, "spool.journal"), 0); err != nil {
@@ -251,7 +251,7 @@ func TestQuarantineRepairsJournalsAndDomainReboots(t *testing.T) {
 	for _, target := range []struct {
 		file string
 		idx  int
-	}{{"enact.wal", 1}, {"w1.jsonl", 2}, {"spool.journal", 0}} {
+	}{{"enact.wal", 1}, {delivery.JournalName, 2}, {"spool.journal", 0}} {
 		if _, err := fs.CorruptFrame(filepath.Join(dir, target.file), target.idx); err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestQuarantineRepairsJournalsAndDomainReboots(t *testing.T) {
 	if r.Damaged != 3 {
 		t.Fatalf("want 3 damaged journals, got %d: %+v", r.Damaged, r.Files)
 	}
-	for _, name := range []string{"enact.wal", "w1.jsonl", "spool.journal"} {
+	for _, name := range []string{"enact.wal", delivery.JournalName, "spool.journal"} {
 		f := findFile(t, r, name)
 		if !f.Quarantined {
 			t.Fatalf("%s not quarantined: %s", name, f.Detail)
@@ -318,11 +318,14 @@ func TestQuarantineRepairsJournalsAndDomainReboots(t *testing.T) {
 	fwd.Close()
 }
 
-// TestLegacyStateRefused: every artifact shape a pre-binary CMI left
+// TestLegacyStateRefused: every artifact shape an earlier CMI left
 // behind — a JSON-lines WAL, delivery journal or spool, a v1 WAL record,
-// a spool under its old name — is refused by its open with
-// journal.ErrLegacy and reported Damaged (and Legacy) by fsck, and
-// neither the refused boot nor fsck rewrites a byte of the directory.
+// a spool under its old name, per-participant delivery queue files with
+// no delivery journal — is refused by its open with journal.ErrLegacy
+// and reported Damaged (and Legacy) by fsck, and neither the refused
+// boot nor fsck rewrites a byte of the directory. A JSON-lines `*.jsonl`
+// file such as an audit journal is not delivery state: it is neither
+// refused nor reported.
 func TestLegacyStateRefused(t *testing.T) {
 	jsonLine := []byte(`{"kind":"notif","notif":{"id":1,"schema":"Done"}}` + "\n")
 	// A v1 set_field record: kind, seq, the three reserved varints, then
@@ -366,7 +369,14 @@ func TestLegacyStateRefused(t *testing.T) {
 	}{
 		{"wal-json-line", "enact.wal", appendTo("enact.wal", jsonLine), bootSystem},
 		{"wal-v1-record", "enact.wal", appendTo("enact.wal", journal.AppendRecord(nil, v1)), bootSystem},
-		{"delivery-json-line", "w1.jsonl", appendTo("w1.jsonl", jsonLine), bootSystem},
+		{"delivery-json-line", delivery.JournalName, appendTo(delivery.JournalName, jsonLine), bootSystem},
+		{"delivery-per-participant-files", "w1.jsonl", func(t *testing.T, dir string) {
+			// The layout before the one delivery journal: a queue file of
+			// binary frames per participant.
+			if err := os.Rename(filepath.Join(dir, delivery.JournalName), filepath.Join(dir, "w1.jsonl")); err != nil {
+				t.Fatal(err)
+			}
+		}, bootSystem},
 		{"spool-json-line", "spool.journal", appendTo("spool.journal", jsonLine), openSpool},
 		{"spool-old-name", "spool.jsonl", func(t *testing.T, dir string) {
 			if err := os.Rename(filepath.Join(dir, "spool.journal"), filepath.Join(dir, "spool.jsonl")); err != nil {
@@ -394,6 +404,55 @@ func TestLegacyStateRefused(t *testing.T) {
 			}
 		})
 	}
+	t.Run("audit-json-lines-ignored", func(t *testing.T) {
+		dir := buildStateDir(t)
+		path := filepath.Join(dir, "audit.jsonl")
+		if err := os.WriteFile(path, jsonLine, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := bootSystem(dir); err != nil {
+			t.Fatalf("boot beside an audit journal: %v", err)
+		}
+		r, err := Check(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Clean() {
+			t.Fatalf("fsck reports damage: %+v", r.Files)
+		}
+		for _, f := range r.Files {
+			if f.Path == "audit.jsonl" {
+				t.Fatalf("fsck treats the audit journal as state: %+v", f)
+			}
+		}
+		if after, _ := os.ReadFile(path); string(after) != string(jsonLine) {
+			t.Fatal("the audit journal was rewritten")
+		}
+	})
+}
+
+// TestLegacyQueueQuarantined: -quarantine moves a per-participant queue
+// file's content aside, after which the directory boots.
+func TestLegacyQueueQuarantined(t *testing.T) {
+	dir := buildStateDir(t)
+	if err := os.Rename(filepath.Join(dir, delivery.JournalName), filepath.Join(dir, "w1.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Check(dir, Options{Quarantine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := findFile(t, r, "w1.jsonl"); !f.Legacy || !f.Quarantined {
+		t.Fatalf("legacy queue file not quarantined: %+v", f)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "w1.jsonl.quarantine")); err != nil {
+		t.Fatalf("quarantine evidence missing: %v", err)
+	}
+	s, err := system.New(system.Config{Clock: vclock.NewVirtual(), StateDir: dir})
+	if err != nil {
+		t.Fatalf("boot after quarantine: %v", err)
+	}
+	s.Close()
 }
 
 // snapshotDir maps every file under dir to its contents.

@@ -1,5 +1,5 @@
 // Package journal is the one durable append log beneath every CMI log:
-// the enactment write-ahead log, the per-participant delivery queues,
+// the enactment write-ahead log, the delivery journal of all queues,
 // the federation spool and the ingest benchmark's detection sink. Each
 // of those is a record codec plus in-memory state on top of a Log; the
 // policy they share lives here once, so the logs cannot diverge:
@@ -195,6 +195,22 @@ func (l *Log[T]) groupLocked() (*group[T], Ticket[T], error) {
 	g.seq = l.seq
 	l.open = g
 	return g, Ticket[T]{l: l, seq: g.seq, lead: true}, nil
+}
+
+// Join returns one ticket whose Wait covers both t and u, for a writer
+// that stages several times (under different locks of its own) before
+// it waits once. Groups are written in order, so the later group's
+// ticket covers the earlier group. A writer that opened a group stages
+// everything after into that same group, since only a group's leader
+// seals it; so the joined ticket leads whenever either ticket did.
+func (t Ticket[T]) Join(u Ticket[T]) Ticket[T] {
+	if u.seq > t.seq {
+		return u
+	}
+	if u.seq == t.seq {
+		t.lead = t.lead || u.lead
+	}
+	return t
 }
 
 // Wait blocks until the ticket's commit group is written — leading the

@@ -230,6 +230,37 @@ func TestGroupCommit(t *testing.T) {
 	t.Logf("%d records in %d groups", records, groups)
 }
 
+// TestJoinLeadsOneCommit: a writer that stages several records before
+// it waits — the first opening a group, the rest joining it — waits on
+// the joined ticket and commits them all in one group and one fsync.
+// Waiting on a later joiner's ticket alone would never seal the group.
+func TestJoinLeadsOneCommit(t *testing.T) {
+	var groups int
+	l, _, err := Open(filepath.Join(t.TempDir(), "j"), Options[int]{
+		Sync:      true,
+		Committed: func(int, time.Duration, []int) { groups++ },
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	before := fs.Syncs()
+	var tk Ticket[int]
+	for i := 0; i < 8; i++ {
+		next, err := l.StageRecord([]byte(fmt.Sprintf("r%d", i)), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk = tk.Join(next)
+	}
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs := fs.Syncs() - before; groups != 1 || syncs != 1 {
+		t.Fatalf("8 staged records took %d group(s) and %d fsync(s), want 1 and 1", groups, syncs)
+	}
+}
+
 // TestWriteFailurePoisons pins fsyncgate: the failing group's writers
 // get the error, OnPoison fires once, and every later Stage fails.
 func TestWriteFailurePoisons(t *testing.T) {

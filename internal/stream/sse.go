@@ -17,7 +17,7 @@ import (
 
 // A FrameWriter encodes notification batches as Server-Sent Events and
 // writes each batch to the transport with a single Write call — one
-// journal commit group, one syscall per session. It is not safe for
+// commit-hook batch, one syscall per session. It is not safe for
 // concurrent use; each session's transport goroutine owns one.
 type FrameWriter struct {
 	w   io.Writer

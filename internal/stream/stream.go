@@ -14,10 +14,11 @@
 //     of disconnects.
 //
 //   - Group-commit fan-out. The hub subscribes to the store's commit
-//     hook (delivery.Store.OnCommit): one journal commit group arrives
-//     as one Broadcast call carrying the whole batch, and a live session
+//     hook (delivery.Store.OnCommit): each consecutive run of one
+//     participant's notifications in a journal commit group arrives as
+//     one Broadcast call carrying the whole run, and a live session
 //     turns it into one frame write — N writers coalescing in a commit
-//     group cost each session one write, not N.
+//     group cost each session about one write, not N.
 //
 //   - Bounded memory under backpressure. Each session's live buffer is
 //     bounded. A slow client that falls behind does not block the commit
@@ -122,8 +123,8 @@ func (h *Hub) Instrument(reg *obs.Registry) {
 
 // Broadcast offers one committed notification batch to the live
 // sessions of a participant. It is the store's commit hook: invoked on
-// the journal commit path, once per commit group, with the group's
-// notifications in id order. It never blocks — a session whose buffer
+// the journal commit path, once per consecutive run of the participant's
+// notifications in a commit group, in id order. It never blocks — a session whose buffer
 // cannot take the batch is flipped to cursor replay instead.
 func (h *Hub) Broadcast(participant string, ns []delivery.Notification) {
 	if len(ns) == 0 {

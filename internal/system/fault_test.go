@@ -68,7 +68,8 @@ func TestCorruptWALSurfacedEndToEnd(t *testing.T) {
 }
 
 // TestPoisonedQueueSurfacedInHealth: a delivery fsync failure poisons
-// the queue and flips Health to unhealthy with the poisoned count.
+// the delivery journal and flips Health to unhealthy with the poisoned
+// count.
 func TestPoisonedQueueSurfacedInHealth(t *testing.T) {
 	// Fail the first delivery-journal fsync after boot. Boot itself
 	// fsyncs only via ReplaceFile paths on this fresh dir (none), so
@@ -92,7 +93,7 @@ func TestPoisonedQueueSurfacedInHealth(t *testing.T) {
 }
 
 // TestCorruptDeliveryJournalSurfacedInHealth: mid-journal corruption in
-// a participant queue is counted at load and flips Health.
+// the delivery journal is counted at load and flips Health.
 func TestCorruptDeliveryJournalSurfacedInHealth(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Config{Clock: vclock.NewVirtual(), StateDir: dir})
@@ -107,7 +108,7 @@ func TestCorruptDeliveryJournalSurfacedInHealth(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.CorruptFrame(filepath.Join(dir, "w1.jsonl"), 2); err != nil {
+	if _, err := fs.CorruptFrame(filepath.Join(dir, delivery.JournalName), 2); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := New(Config{Clock: vclock.NewVirtual(), StateDir: dir})

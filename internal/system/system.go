@@ -277,12 +277,6 @@ func specHash(src []byte) string {
 // directory, then attaches the write-ahead log so fresh operations are
 // journaled. Runs during New, before the engines are observed.
 func (s *System) recoverState(cfg Config, reg *obs.Registry) error {
-	// The delivery queues load concurrently with the enactment replay:
-	// they are independent journals, and preloading here means the first
-	// post-startup enqueue or read hits a warm queue instead of paying
-	// the load.
-	preload := make(chan error, 1)
-	go func() { preload <- s.store.Preload() }()
 	// Schemas first: journal replay re-executes operations that name
 	// them. Specs loaded through LoadSpec are persisted under
 	// <StateDir>/specs; programmatic schemas (RegisterProcess) are not
@@ -360,9 +354,6 @@ func (s *System) recoverState(cfg Config, reg *obs.Registry) error {
 	reg.Counter("cmi_enact_replayed_records_total",
 		"Journal records re-executed during enactment recovery.").
 		Add(uint64(stats.Replayed))
-	if err := <-preload; err != nil {
-		return fmt.Errorf("cmi: preload delivery queues: %w", err)
-	}
 	return nil
 }
 
@@ -609,12 +600,14 @@ type Health struct {
 	StoreOpen bool `json:"storeOpen"`
 	// Shards is the awareness engine's effective shard count.
 	Shards int `json:"shards"`
-	// PoisonedQueues counts delivery journals permanently refusing
-	// appends after a failed commit write or fsync (fsyncgate: the
-	// durable suffix is unknown, so no retry on the same descriptor).
+	// PoisonedQueues is 1 when the delivery journal permanently refuses
+	// appends to every queue after a failed commit write or fsync
+	// (fsyncgate: the durable suffix is unknown, so no retry on the same
+	// descriptor), else 0.
 	PoisonedQueues int `json:"poisonedQueues,omitempty"`
-	// CorruptJournals counts delivery journals with mid-file corruption
-	// found at load: served read-only up to the damage, never compacted.
+	// CorruptJournals is 1 when the delivery journal's load found
+	// mid-file corruption, else 0: every queue is served read-only up to
+	// the damage, and the journal is never compacted.
 	CorruptJournals int `json:"corruptJournals,omitempty"`
 	// WALPoisoned reports the enactment write-ahead log refuses all
 	// further operations — after a failed commit, or because recovery

@@ -1,5 +1,5 @@
 // Package wire is the compact binary record framing shared by the
-// CMI durable logs: the delivery queues, the enactment write-ahead log,
+// CMI durable logs: the delivery journal, the enactment write-ahead log,
 // the federation spool and the ingest benchmark's detection sink. JSON
 // stays at the public HTTP edge; on disk each record is a
 // length-prefixed, checksummed binary frame:
@@ -73,43 +73,6 @@ func ParseFrame(b []byte) (payload []byte, size int, ok bool) {
 		return nil, 0, false
 	}
 	return payload, int(end), true
-}
-
-// FramePayload returns the payload view of a frame built by
-// AppendFrame (no checksum verification — the frame was just built).
-// It returns nil if frame is not a well-formed version-1 frame.
-func FramePayload(frame []byte) []byte {
-	if len(frame) == 0 || frame[0] != Format1 {
-		return nil
-	}
-	n, ln := binary.Uvarint(frame[1:])
-	if ln <= 0 {
-		return nil
-	}
-	off := 1 + ln + 4
-	if uint64(len(frame)) < uint64(off)+n {
-		return nil
-	}
-	return frame[off : uint64(off)+n]
-}
-
-// ResealFrame recomputes and rewrites the checksum of a frame whose
-// payload was patched in place (the delivery fan-out splices each
-// queue's id into a shared frame). The frame must have been built by
-// AppendFrame; a malformed frame is left untouched.
-func ResealFrame(frame []byte) {
-	if len(frame) == 0 || frame[0] != Format1 {
-		return
-	}
-	n, ln := binary.Uvarint(frame[1:])
-	if ln <= 0 {
-		return
-	}
-	off := 1 + ln
-	if uint64(len(frame)) < uint64(off)+4+n {
-		return
-	}
-	binary.LittleEndian.PutUint32(frame[off:], Checksum(frame[off+4:uint64(off)+4+n]))
 }
 
 // ---------------------------------------------------------------------

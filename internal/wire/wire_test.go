@@ -51,29 +51,6 @@ func TestScannerCorruptCRC(t *testing.T) {
 	}
 }
 
-func TestResealFrame(t *testing.T) {
-	payload := make([]byte, 16)
-	copy(payload, "id:AAAAAAAA rest")
-	frame := AppendFrame(nil, payload)
-	p := FramePayload(frame)
-	if p == nil {
-		t.Fatal("FramePayload returned nil")
-	}
-	copy(p[3:], "BBBBBBBB")
-	// Before resealing the checksum no longer matches.
-	if _, _, ok := ParseFrame(frame); ok {
-		t.Fatal("patched frame parsed before reseal")
-	}
-	ResealFrame(frame)
-	rec, _, ok := ParseFrame(frame)
-	if !ok {
-		t.Fatal("resealed frame should parse")
-	}
-	if !bytes.Contains(rec, []byte("BBBBBBBB")) {
-		t.Fatalf("resealed payload = %q", rec)
-	}
-}
-
 func TestPrimitivesRoundTrip(t *testing.T) {
 	now := time.Unix(1722000000, 123456789)
 	var b []byte
